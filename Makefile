@@ -9,6 +9,10 @@
 #   make cache     the build-cache benchmarks only (off/cold/warm)
 #   make bench-json  telemetry-overhead benchmarks (E12) -> BENCH_telemetry.json
 #                    and perf benchmarks (E14 + E16) -> BENCH_perf.json
+#   make bench-smoke  the repository benchmark's smoke test (bench/, its own
+#                  module): every workload once through the shipped CLIs,
+#                  bundles checked byte for byte against the in-process
+#                  reference (about 12 s)
 #   make smoke     end-to-end resilience run of advm-regress
 #                  (-deadline/-retries/-quarantine-after/-breaker)
 #   make smoke-served  regression-as-a-service smoke: advm-served daemon
@@ -32,7 +36,7 @@ SERVED_DIR ?= .advm-served
 FLEET_DIR ?= .advm-fleet
 FLEET_PORT ?= 17977
 
-.PHONY: all tier1 vet lint race fuzz bench cache bench-json smoke smoke-served smoke-fleet report tools
+.PHONY: all tier1 vet lint race fuzz bench cache bench-json bench-smoke smoke smoke-served smoke-fleet report tools
 
 all: tier1
 
@@ -78,6 +82,12 @@ bench-json:
 	@grep -c '"Action"' BENCH_perf.json >/dev/null && echo "wrote BENCH_perf.json"
 	$(GO) test -run xxx -bench 'BenchmarkE19_' -benchtime 5x -json . > BENCH_store.json
 	@grep -c '"Action"' BENCH_store.json >/dev/null && echo "wrote BENCH_store.json"
+
+# The repository benchmark's smoke test. bench/ is a module of its own,
+# so tier-1 does not build or run it; this does. A sealed bundle that
+# drifts from the in-process reference fails here.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # End-to-end resilience smoke: the full matrix on the golden + emulator
 # rungs with per-cell deadlines, a retry budget, quarantine, and the

@@ -304,11 +304,7 @@ func ComposeSystemLabel(name string, s *System, subs ...*Label) (*SystemLabel, e
 // FreezeSystem snapshots every module environment and composes a system
 // label in one step.
 func FreezeSystem(name string, s *System) (*SystemLabel, error) {
-	var subs []*Label
-	for _, e := range s.Envs() {
-		subs = append(subs, release.Snapshot(name+"_"+e.Module, e))
-	}
-	return release.ComposeSystem(name, s, subs...)
+	return release.Freeze(name, s)
 }
 
 // Regress runs the regression matrix against a frozen system label.
@@ -601,7 +597,9 @@ func VetPortImpact(s *System, from, to *Derivative, k Kind) ([]PortImpactCell, e
 
 // Preflight verifies a system against its frozen label and runs the
 // analyzer; error-severity findings block with a *PreflightError. Regress
-// applies the same gate automatically unless RegressionSpec.SkipVet.
+// applies the same gate automatically unless RegressionSpec.SkipVet. The
+// label memoises the analysis: a second Preflight or Certify with the
+// same options on the same label does not analyse again.
 func Preflight(s *System, sl *SystemLabel, opts VetOptions) (*VetReport, error) {
 	return release.Preflight(s, sl, opts)
 }

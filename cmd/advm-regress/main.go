@@ -78,6 +78,13 @@ func main() {
 	fmt.Printf("frozen release: %s\n\n", sl)
 
 	spec := advm.RegressionSpec{Workers: *workers, TriageDir: *triageDir, Deadline: *deadline}
+	if *bundle != "" {
+		// Gate with the options the certification seals: a release the
+		// certifier would refuse is refused before any cell runs, and
+		// Certify reuses the gate's analysis from the label.
+		certOpts := advm.DefaultVetOptions()
+		spec.VetOptions = &certOpts
+	}
 	eng, err := advm.ParseEngine(*engine)
 	if err != nil {
 		log.Fatal(err)
@@ -400,6 +407,13 @@ func runServed(f servedFlags) {
 		log.Fatal(err)
 	}
 	fmt.Printf("frozen release: %s\n\n", sl)
+	if f.bundle != "" {
+		// As in-process: refuse what the certifier would refuse before
+		// the daemon spends a cell on it.
+		if _, err := advm.Preflight(sys, sl, advm.DefaultVetOptions()); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	var onResult func(*advm.ShardResult)
 	if f.verbose {

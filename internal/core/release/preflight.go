@@ -3,6 +3,7 @@ package release
 import (
 	"fmt"
 
+	"repro/internal/core/buildcache"
 	"repro/internal/core/sysenv"
 	"repro/internal/core/vet"
 )
@@ -25,19 +26,95 @@ func (e *PreflightError) Error() string {
 	return msg
 }
 
+// check is the analyzer Preflight runs; tests substitute it to count
+// runs.
+var check = vet.Check
+
 // Preflight verifies a system against its frozen label and then runs the
 // static analyzer over it. The analyzer report is returned either way;
 // the error is a *PreflightError when any finding has error severity.
 // This is the gate a regression passes through before the matrix is
 // enumerated: a release that bypasses the abstraction layer is broken by
 // construction, however green its runs are today.
+//
+// The report is a deterministic function of the frozen content, so the
+// label memoises it: the analyzer runs once per distinct analysis input
+// (see analysisKey) on a label, however many gates, certifications and
+// concurrent callers ask. Verify and the error-severity check still run
+// on every call, and every caller gets its own copy of the report.
 func Preflight(s *sysenv.System, sl *SystemLabel, opts vet.Options) (*vet.Report, error) {
 	if err := sl.Verify(s); err != nil {
 		return nil, err
 	}
-	r := vet.Check(s, opts)
+	r := sl.analyse(s, opts)
 	if r.Errors() > 0 {
 		return r, &PreflightError{Report: r}
 	}
 	return r, nil
+}
+
+// analysis is one memoised analyzer run on a label; done closes once rep
+// is set, or with rep nil when the analyzer panicked.
+type analysis struct {
+	done chan struct{}
+	rep  *vet.Report
+}
+
+// analysisKey names what the report depends on beyond the module content
+// a verified label pins: the system name and module set, the requirement
+// catalogue the traceability pass checks, and the normalised options.
+func analysisKey(s *sysenv.System, opts vet.Options) string {
+	parts := []string{"vet", s.Name, opts.Key()}
+	for _, m := range s.Modules() {
+		parts = append(parts, "module", m)
+	}
+	for _, r := range s.Requirements() {
+		parts = append(parts, "req", r.ID, r.Title)
+	}
+	return buildcache.Key(parts...)
+}
+
+// analyse returns a copy of the analyzer report for s under opts,
+// running the analyzer only for the first caller of each key (a
+// singleflight: concurrent callers wait for that run).
+func (sl *SystemLabel) analyse(s *sysenv.System, opts vet.Options) *vet.Report {
+	key := analysisKey(s, opts)
+	sl.mu.Lock()
+	a, ok := sl.analyses[key]
+	if !ok {
+		if sl.analyses == nil {
+			sl.analyses = make(map[string]*analysis)
+		}
+		a = &analysis{done: make(chan struct{})}
+		sl.analyses[key] = a
+	}
+	sl.mu.Unlock()
+	if !ok {
+		func() {
+			defer func() {
+				if a.rep == nil {
+					// The analyzer panicked: forget the run, so that the
+					// waiters and later calls run it themselves.
+					sl.mu.Lock()
+					delete(sl.analyses, key)
+					sl.mu.Unlock()
+				}
+				close(a.done)
+			}()
+			a.rep = check(s, opts)
+		}()
+	}
+	<-a.done
+	if a.rep == nil {
+		return sl.analyse(s, opts)
+	}
+	return a.rep.Clone()
+}
+
+// Analyses reports how many analyzer reports the label holds: one per
+// distinct analysis input it was preflighted with.
+func (sl *SystemLabel) Analyses() int {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return len(sl.analyses)
 }

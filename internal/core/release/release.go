@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/core/buildcache"
 	"repro/internal/core/env"
@@ -31,11 +32,17 @@ type Label struct {
 
 // SystemLabel composes module labels into a frozen system regression
 // environment. A single person releases it (the paper's release manager).
+// Because the content under a label cannot change, the label also
+// memoises the analyzer reports Preflight computes over it (see
+// preflight.go).
 type SystemLabel struct {
 	// Name is the system release tag, e.g. "SYSREG_2004_07".
 	Name string
 	// Sub maps module name to the frozen module label.
 	Sub map[string]*Label
+
+	mu       sync.Mutex
+	analyses map[string]*analysis
 }
 
 // HashTree hashes a file tree deterministically. It delegates to the
@@ -83,6 +90,18 @@ func (l *Label) Verify(e *env.Env) error {
 			e.Module, l.Name, got[:12], l.Hash[:12])
 	}
 	return nil
+}
+
+// Freeze snapshots every module environment of a system under the
+// sub-label name_<module> and composes the system label name from them:
+// the one recipe by which the facade, the daemon and its workers freeze,
+// so that every side derives the same epoch from the same content.
+func Freeze(name string, s *sysenv.System) (*SystemLabel, error) {
+	var subs []*Label
+	for _, e := range s.Envs() {
+		subs = append(subs, Snapshot(name+"_"+e.Module, e))
+	}
+	return ComposeSystem(name, s, subs...)
 }
 
 // ComposeSystem builds a system label from one sub-label per module

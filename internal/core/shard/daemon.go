@@ -81,11 +81,12 @@ type Daemon struct {
 	// Logf, when non-nil, receives daemon progress lines.
 	Logf func(format string, args ...any)
 
-	mu         sync.Mutex // guards started/closed, remotes, epoch
+	mu         sync.Mutex // guards started/closed, remotes, epoch, label
 	started    bool
 	closed     bool
 	helloEpoch string
 	remotes    map[string]*remoteWorker
+	label      *release.SystemLabel // the last request label frozen
 
 	queue  chan *task
 	quit   chan struct{}
@@ -136,15 +137,24 @@ func (d *Daemon) requestTimeout() time.Duration {
 	return DefaultRequestTimeout
 }
 
-// freezeSystem snapshots every module environment and composes a system
-// label — the advm.FreezeSystem recipe, shared by daemon and worker so
-// both sides derive the epoch the same way.
-func freezeSystem(name string, s *sysenv.System) (*release.SystemLabel, error) {
-	var subs []*release.Label
-	for _, e := range s.Envs() {
-		subs = append(subs, release.Snapshot(name+"_"+e.Module, e))
+// freeze freezes a request's system with release.Freeze — the recipe
+// the workers use too, so both sides derive the epoch the same way — and
+// returns the daemon's kept label instead when it has the same name and
+// epoch. The kept label memoises the analysis of its content, so a warm
+// daemon analyses an epoch once rather than in every request's plan
+// step. The daemon keeps one label: the last one it froze.
+func (d *Daemon) freeze(name string, sys *sysenv.System) (*release.SystemLabel, error) {
+	l, err := release.Freeze(name, sys)
+	if err != nil {
+		return nil, err
 	}
-	return release.ComposeSystem(name, s, subs...)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if kept := d.label; kept != nil && kept.Name == l.Name && kept.Epoch() == l.Epoch() {
+		return kept, nil
+	}
+	d.label = l
+	return l, nil
 }
 
 // spawn starts worker process id and wires its pipes.
@@ -173,7 +183,7 @@ func (d *Daemon) Start() error {
 	if d.WorkerCommand == nil {
 		return fmt.Errorf("shard: daemon needs a WorkerCommand")
 	}
-	label, err := freezeSystem(HelloLabel, d.NewSystem())
+	label, err := release.Freeze(HelloLabel, d.NewSystem())
 	if err != nil {
 		return fmt.Errorf("shard: freeze probe label: %w", err)
 	}
@@ -548,76 +558,17 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 		return
 	}
 	start := time.Now()
-
-	// Matrix-level setup, once per request: resolve names, freeze,
-	// preflight, enumerate, order.
-	var derivs []*derivative.Derivative
-	for _, name := range req.Derivs {
-		dv, err := derivative.ByName(name)
-		if err != nil {
-			fail(err)
-			return
-		}
-		derivs = append(derivs, dv)
-	}
-	var kinds []platform.Kind
-	for _, name := range req.Platforms {
-		k, err := ParseKind(name)
-		if err != nil {
-			fail(err)
-			return
-		}
-		kinds = append(kinds, k)
-	}
-	if _, err := platform.ParseEngine(req.Engine); err != nil {
-		fail(err)
-		return
-	}
-	sys := d.NewSystem()
-	label, err := freezeSystem(req.Label, sys)
+	plan, keys, kindNames, err := d.plan(req)
 	if err != nil {
 		fail(err)
 		return
-	}
-	if !req.SkipVet {
-		opts := vet.NewOptions()
-		if len(derivs) > 0 {
-			opts.Derivatives = derivs
-		}
-		if _, err := release.Preflight(sys, label, opts); err != nil {
-			fail(err)
-			return
-		}
-	}
-	cells, err := regress.EnumerateCells(sys, regress.Spec{
-		Derivatives: derivs, Kinds: kinds,
-		Modules: req.Modules, Tests: req.Tests,
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-	plan := &Plan{
-		Label: req.Label, Epoch: label.Epoch(), Workers: int(d.slots.Load()),
-		Cells: make([]CellID, len(cells)),
-	}
-	keys := make([]string, len(cells))
-	kindNames := make([]string, len(cells))
-	for i, c := range cells {
-		plan.Cells[i] = CellID{Module: c.Module, Test: c.Test,
-			Deriv: c.Deriv.Name, Platform: c.Kind.String()}
-		keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
-		kindNames[i] = c.Kind.String()
-	}
-	if d.History != nil {
-		plan.Dispatch = d.History.Order(keys, kindNames)
 	}
 	if err := conn.Write(Frame{Type: FramePlan, Plan: plan}); err != nil {
 		d.logf("write plan: %v", err)
 		return
 	}
 	reqID := d.reqSeq.Add(1)
-	d.logf("request %d %s: %d cells across %d workers", reqID, req.Label, len(cells), plan.Workers)
+	d.logf("request %d %s: %d cells across %d workers", reqID, req.Label, len(plan.Cells), plan.Workers)
 
 	// Dispatch: feed the shared queue in plan order and collect results
 	// as the pool completes them. The results channel is buffered for
@@ -685,6 +636,68 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 	}
 	d.logf("request %d %s: %d passed, %d failed, %d broken in %s",
 		reqID, req.Label, done.Passed, done.Failed, done.Broken, time.Duration(done.WallNs))
+}
+
+// plan is the matrix-level setup of one request: resolve names, freeze,
+// preflight, enumerate, order. keys and kindNames are each cell's
+// history key and platform name, in plan order.
+func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err error) {
+	var derivs []*derivative.Derivative
+	for _, name := range req.Derivs {
+		dv, err := derivative.ByName(name)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		derivs = append(derivs, dv)
+	}
+	var kinds []platform.Kind
+	for _, name := range req.Platforms {
+		k, err := ParseKind(name)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		kinds = append(kinds, k)
+	}
+	if _, err := platform.ParseEngine(req.Engine); err != nil {
+		return nil, nil, nil, err
+	}
+	sys := d.NewSystem()
+	label, err := d.freeze(req.Label, sys)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !req.SkipVet {
+		opts := vet.NewOptions()
+		if len(derivs) > 0 {
+			opts.Derivatives = derivs
+		}
+		if _, err := release.Preflight(sys, label, opts); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	cells, err := regress.EnumerateCells(sys, regress.Spec{
+		Derivatives: derivs, Kinds: kinds,
+		Modules: req.Modules, Tests: req.Tests,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	plan = &Plan{
+		Label: req.Label, Epoch: label.Epoch(), Workers: int(d.slots.Load()),
+		Cells: make([]CellID, len(cells)),
+	}
+	keys = make([]string, len(cells))
+	kindNames = make([]string, len(cells))
+	for i, c := range cells {
+		plan.Cells[i] = CellID{Module: c.Module, Test: c.Test,
+			Deriv: c.Deriv.Name, Platform: c.Kind.String()}
+		keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
+		kindNames[i] = c.Kind.String()
+	}
+	if d.History != nil {
+		plan.Dispatch = d.History.Order(keys, kindNames)
+	}
+	return plan, keys, kindNames, nil
 }
 
 // runOn sends one job to a local worker and waits for its result. Any

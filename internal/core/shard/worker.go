@@ -107,11 +107,7 @@ func (wk *worker) freeze(name string) (*release.SystemLabel, error) {
 	if l, ok := wk.labels[name]; ok {
 		return l, nil
 	}
-	var subs []*release.Label
-	for _, e := range wk.sys.Envs() {
-		subs = append(subs, release.Snapshot(name+"_"+e.Module, e))
-	}
-	l, err := release.ComposeSystem(name, wk.sys, subs...)
+	l, err := release.Freeze(name, wk.sys)
 	if err != nil {
 		return nil, err
 	}

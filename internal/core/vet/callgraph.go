@@ -12,12 +12,10 @@ package vet
 import (
 	"sort"
 
-	"repro/internal/core/derivative"
 	"repro/internal/core/env"
 	"repro/internal/core/sysenv"
 	"repro/internal/isa"
 	"repro/internal/obj"
-	"repro/internal/platform"
 )
 
 // cgLayer classifies which ADVM layer a translation unit belongs to.
@@ -64,20 +62,12 @@ type callGraph struct {
 	names []string // deterministic iteration order
 }
 
-// decodeProgramUnit assembles and decodes one unit of the program;
-// a unit that does not assemble or decode is skipped (the cfg pass
-// reports build errors).
-func decodeProgramUnit(tree map[string]string, module, path string, d *derivative.Derivative, k platform.Kind, layer cgLayer) *cgUnitInfo {
-	src, ok := tree[path]
-	if !ok {
-		return nil
-	}
-	o, err := assembleUnit(tree, module, path, src, d, k)
-	if err != nil {
-		return nil
-	}
-	u, err := decodeUnit(o)
-	if err != nil {
+// decodeProgramUnit takes one decoded unit of the program from the
+// table; a unit that does not assemble or decode is skipped (the cfg
+// pass reports build errors).
+func decodeProgramUnit(tab *unitTable, module, path string, layer cgLayer) *cgUnitInfo {
+	u := tab.decoded(module, path)
+	if u == nil {
 		return nil
 	}
 	return &cgUnitInfo{u: u, path: path, layer: layer, indirect: indirectTargets(u)}
@@ -244,10 +234,9 @@ func analyseFunc(f *cgFunc, noreturn map[string]bool) {
 	sort.Slice(f.calls, func(i, j int) bool { return f.calls[i].off < f.calls[j].off })
 }
 
-// programUnits assembles and decodes the full unit set for one test cell.
-func programUnits(tree map[string]string, e *env.Env, t *env.TestCell, d *derivative.Derivative, k platform.Kind, shared []*cgUnitInfo) []*cgUnitInfo {
-	testPath := e.TestSourcePath(t.ID)
-	tu := decodeProgramUnit(tree, e.Module, testPath, d, k, layerTest)
+// programUnits returns the full decoded unit set for one test cell.
+func programUnits(tab *unitTable, e *env.Env, t *env.TestCell, shared []*cgUnitInfo) []*cgUnitInfo {
+	tu := decodeProgramUnit(tab, e.Module, e.TestSourcePath(t.ID), layerTest)
 	if tu == nil {
 		return nil
 	}
@@ -257,13 +246,13 @@ func programUnits(tree map[string]string, e *env.Env, t *env.TestCell, d *deriva
 // sharedUnits decodes the units every test of an environment links
 // against: the module's Base_Functions plus the three global-layer
 // units.
-func sharedUnits(tree map[string]string, e *env.Env, d *derivative.Derivative, k platform.Kind) []*cgUnitInfo {
+func sharedUnits(tab *unitTable, e *env.Env) []*cgUnitInfo {
 	var out []*cgUnitInfo
-	if ui := decodeProgramUnit(tree, e.Module, e.Module+"/"+env.BaseFuncsFile, d, k, layerAbstraction); ui != nil {
+	if ui := decodeProgramUnit(tab, e.Module, e.Module+"/"+env.BaseFuncsFile, layerAbstraction); ui != nil {
 		out = append(out, ui)
 	}
 	for _, p := range []string{sysenv.Crt0File, sysenv.TrapHandlersFile, sysenv.EmbeddedSWFile} {
-		if ui := decodeProgramUnit(tree, e.Module, sysenv.GlobalDir+"/"+p, d, k, layerGlobal); ui != nil {
+		if ui := decodeProgramUnit(tab, e.Module, sysenv.GlobalDir+"/"+p, layerGlobal); ui != nil {
 			out = append(out, ui)
 		}
 	}

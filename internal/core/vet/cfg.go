@@ -20,24 +20,23 @@ import (
 // control-flow graph. The pass is deliberately limited to test units —
 // library code renders a defensive trailing RET after noreturn bodies,
 // which is structural, not a test-author mistake.
-func cfgFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) []Finding {
-	tree := s.Materialise(d)
+func cfgFindings(s *sysenv.System, tab *unitTable, opts Options) []Finding {
 	var out []Finding
 	for _, e := range s.Envs() {
-		noreturn := noreturnFuncs(tree, e, d, k)
+		noreturn := noreturnFuncs(tab, e)
 		for _, t := range e.Tests() {
 			path := e.TestSourcePath(t.ID)
 			base := Finding{Path: path, Module: e.Module, Test: t.ID}
-			o, err := assembleUnit(tree, e.Module, path, t.Source, d, k)
-			if err != nil {
+			tu := tab.unit(e.Module, path)
+			if tu.err != nil {
 				if opts.enabled(CheckBuildError) {
 					f := base
-					f.Message = "test does not assemble: " + firstLine(err.Error())
+					f.Message = "test does not assemble: " + firstLine(tu.err.Error())
 					out = append(out, finding(CheckBuildError, f))
 				}
 				continue
 			}
-			out = append(out, checkCFG(o, noreturn, d, base, opts)...)
+			out = append(out, checkCFG(tu, noreturn, tab.d, base, opts)...)
 		}
 	}
 	return out
@@ -334,16 +333,16 @@ func (u *cfgUnit) labelAt(off uint32) string {
 
 // ---- checks ----
 
-func checkCFG(o *obj.Object, noreturn map[string]bool, d *derivative.Derivative, base Finding, opts Options) []Finding {
-	u, err := decodeUnit(o)
-	if err != nil {
+func checkCFG(tu *tableUnit, noreturn map[string]bool, d *derivative.Derivative, base Finding, opts Options) []Finding {
+	if tu.decodeErr != nil {
 		if !opts.enabled(CheckBuildError) {
 			return nil
 		}
 		f := base
-		f.Message = "text section does not decode: " + err.Error()
+		f.Message = "text section does not decode: " + tu.decodeErr.Error()
 		return []Finding{finding(CheckBuildError, f)}
 	}
+	u := tu.u
 	if len(u.insts) == 0 {
 		return nil
 	}
@@ -473,24 +472,15 @@ func checkCFG(o *obj.Object, noreturn map[string]bool, d *derivative.Derivative,
 
 // ---- noreturn analysis over the abstraction layer ----
 
-// noreturnFuncs assembles the environment's Base_Functions unit and
+// noreturnFuncs decodes the environment's Base_Functions unit and
 // computes, by fixpoint, which base functions can never return: no path
 // from the function's entry reaches a RET, where a CALL to a function
 // already known not to return has no fall-through edge. The rendered
 // trailing RET after a HALT body is exactly what this analysis sees
 // through.
-func noreturnFuncs(tree map[string]string, e *env.Env, d *derivative.Derivative, k platform.Kind) map[string]bool {
-	path := e.Module + "/" + env.BaseFuncsFile
-	src, ok := tree[path]
-	if !ok {
-		return nil
-	}
-	o, err := assembleUnit(tree, e.Module, path, src, d, k)
-	if err != nil {
-		return nil
-	}
-	u, err := decodeUnit(o)
-	if err != nil {
+func noreturnFuncs(tab *unitTable, e *env.Env) map[string]bool {
+	u := tab.decoded(e.Module, e.Module+"/"+env.BaseFuncsFile)
+	if u == nil {
 		return nil
 	}
 	entries := e.Funcs.Names()

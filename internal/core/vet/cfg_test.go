@@ -143,10 +143,8 @@ test_main:
 
 func TestNoreturnFixpoint(t *testing.T) {
 	s := content.PortedSystem()
-	d := derivative.A()
-	tree := s.Materialise(d)
 	e, _ := s.Env(content.ModuleNVM)
-	noreturn := noreturnFuncs(tree, e, d, platform.KindGolden)
+	noreturn := noreturnFuncs(newUnitTable(s, derivative.A(), platform.KindGolden), e)
 	if !noreturn["Base_Report_Pass"] || !noreturn["Base_Report_Fail"] {
 		t.Errorf("reporting functions not detected noreturn: %v", noreturn)
 	}

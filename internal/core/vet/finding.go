@@ -24,6 +24,7 @@ package vet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -225,6 +226,15 @@ type Report struct {
 	Stack []StackBound `json:"stack,omitempty"`
 	// Suppressed counts findings removed by lint:disable annotations.
 	Suppressed int `json:"suppressed,omitempty"`
+}
+
+// Clone returns a copy of the report that shares no slices with it.
+func (r *Report) Clone() *Report {
+	c := *r
+	c.Derivatives = slices.Clone(r.Derivatives)
+	c.Findings = slices.Clone(r.Findings)
+	c.Stack = slices.Clone(r.Stack)
+	return &c
 }
 
 // Sort puts the findings in their canonical order.

@@ -221,11 +221,11 @@ func FuzzCallGraph(f *testing.F) {
 	s := content.PortedSystem()
 	d := derivative.A()
 	k := platform.KindGolden
-	tree := s.Materialise(d)
-	envs := s.Envs()
-	e := envs[0]
-	noreturn := noreturnFuncs(tree, e, d, k)
-	shared := sharedUnits(tree, e, d, k)
+	tab := newUnitTable(s, d, k)
+	tree := tab.tree
+	e := s.Envs()[0]
+	noreturn := noreturnFuncs(tab, e)
+	shared := sharedUnits(tab, e)
 
 	f.Add(testprog.SeededRecursion)
 	f.Add(testprog.SeededDeadStore)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core/derivative"
 	"repro/internal/core/sysenv"
-	"repro/internal/platform"
 )
 
 // layerFindings is the layer-discipline pass (the paper's Figure 2): it
@@ -15,17 +14,16 @@ import (
 // checks the tokens the test author actually wrote — expansion
 // provenance separates them from text injected by Globals.inc defines
 // or macros, so abstraction-layer machinery can never trip the checks.
-func layerFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) []Finding {
-	tree := s.Materialise(d)
-	globals := globalNames(d)
-	blocks := peripheralBlocks(d)
+func layerFindings(s *sysenv.System, tab *unitTable, opts Options) []Finding {
+	globals := globalNames(tab.d)
+	blocks := peripheralBlocks(tab.d)
 	var out []Finding
 	for _, e := range s.Envs() {
 		for _, t := range e.Tests() {
 			path := e.TestSourcePath(t.ID)
 			base := Finding{Path: path, Module: e.Module, Test: t.ID}
 			out = append(out, checkIncludes(path, t.Source, base, opts)...)
-			lines, errs := expand(tree, e.Module, path, t.Source, d, k)
+			lines, errs := expand(tab.tree, e.Module, path, t.Source, tab.d, tab.k)
 			for _, err := range errs {
 				if !opts.enabled(CheckBuildError) {
 					break

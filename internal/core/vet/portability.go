@@ -16,37 +16,50 @@ import (
 // abstraction layer's resolved define set.
 const probeSource = ".INCLUDE \"Globals.inc\"\n"
 
-// portFindings is the portability pass: it assembles a probe of each
-// environment's Globals.inc under every derivative × platform
-// combination and reports, per module, the symbols that resolve to
-// different values across the matrix. These are precisely the paper's
-// Figure 6 single points of change — the surface a port touches.
-func portFindings(s *sysenv.System, opts Options) []Finding {
-	if !opts.enabled(CheckVariantDiverge) {
-		return nil
-	}
-	type variant struct {
-		d *derivative.Derivative
-		k platform.Kind
-	}
-	var variants []variant
-	trees := make(map[string]map[string]string, len(opts.Derivatives))
-	for _, d := range opts.Derivatives {
-		trees[d.Name] = s.Materialise(d)
-		for _, k := range opts.Kinds {
-			variants = append(variants, variant{d, k})
-		}
-	}
-	var out []Finding
-	for _, e := range s.Envs() {
-		// values[name][variant index] = resolved value (Abs symbols only).
-		values := make(map[string]map[int]int64)
-		for vi, v := range variants {
-			o, err := assembleUnit(trees[v.d.Name], e.Module, "probe.asm", probeSource, v.d, v.k)
+// probeSet is one derivative's probe results: the symbol table of each
+// environment's probe under each kind, [env][kind], nil where the probe
+// does not assemble.
+type probeSet [][][]obj.Symbol
+
+// probeSymbols assembles the probe of every environment under one
+// derivative and each kind, over the derivative's materialised tree.
+func probeSymbols(s *sysenv.System, tree map[string]string, d *derivative.Derivative, kinds []platform.Kind) probeSet {
+	envs := s.Envs()
+	out := make(probeSet, len(envs))
+	for ei, e := range envs {
+		out[ei] = make([][]obj.Symbol, len(kinds))
+		for ki, k := range kinds {
+			o, err := assembleUnit(tree, e.Module, "probe.asm", probeSource, d, k)
 			if err != nil {
 				continue // build errors surface in the layer/cfg passes
 			}
-			for _, sym := range o.Symbols {
+			out[ei][ki] = o.Symbols
+		}
+	}
+	return out
+}
+
+// portFindings is the portability pass: from the probes of each
+// environment's Globals.inc under every derivative × platform
+// combination (probes[derivative], see probeSymbols) it reports, per
+// module, the symbols that resolve to different values across the
+// matrix. These are precisely the paper's Figure 6 single points of
+// change — the surface a port touches.
+func portFindings(s *sysenv.System, opts Options, probes []probeSet) []Finding {
+	if !opts.enabled(CheckVariantDiverge) {
+		return nil
+	}
+	// Variant vi is derivative vi/nk on kind vi%nk.
+	nk := len(opts.Kinds)
+	nv := len(opts.Derivatives) * nk
+	derivOf := func(vi int) string { return opts.Derivatives[vi/nk].Name }
+	kindOf := func(vi int) string { return opts.Kinds[vi%nk].String() }
+	var out []Finding
+	for ei, e := range s.Envs() {
+		// values[name][variant index] = resolved value (Abs symbols only).
+		values := make(map[string]map[int]int64)
+		for vi := 0; vi < nv; vi++ {
+			for _, sym := range probes[vi/nk][ei][vi%nk] {
 				if !sym.Abs {
 					continue
 				}
@@ -70,13 +83,11 @@ func portFindings(s *sysenv.System, opts Options) []Finding {
 			if len(distinct) < 2 {
 				continue
 			}
-			derivOf := func(vi int) string { return variants[vi].d.Name }
-			kindOf := func(vi int) string { return variants[vi].k.String() }
 			f := Finding{
 				Path:   e.Module + "/" + env.GlobalsFile,
 				Module: e.Module,
 				Message: fmt.Sprintf("symbol %s resolves to %d distinct values across the variant matrix: %s",
-					name, len(distinct), describeValues(len(variants), byVariant, derivOf, kindOf)),
+					name, len(distinct), describeValues(nv, byVariant, derivOf, kindOf)),
 			}
 			out = append(out, finding(CheckVariantDiverge, f))
 		}

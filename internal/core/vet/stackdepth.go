@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core/derivative"
 	"repro/internal/core/sysenv"
-	"repro/internal/platform"
 )
 
 // depthResult is the memoised outcome of totalDepth for one function.
@@ -100,24 +99,23 @@ func (g *callGraph) callSiteOf(callee string) (file string, line int, ok bool) {
 // builds the linked image's call graph, runs the stack-depth analysis
 // against the derivative's stack budget, checks the object-level layer
 // discipline, and runs the register dataflow analyses on the test unit.
-func flowFindings(s *sysenv.System, d *derivative.Derivative, k platform.Kind, opts Options) ([]Finding, []StackBound) {
-	tree := s.Materialise(d)
+func flowFindings(s *sysenv.System, tab *unitTable, opts Options) ([]Finding, []StackBound) {
 	var out []Finding
 	var bounds []StackBound
 	for _, e := range s.Envs() {
-		noreturn := noreturnFuncs(tree, e, d, k)
-		shared := sharedUnits(tree, e, d, k)
+		noreturn := noreturnFuncs(tab, e)
+		shared := sharedUnits(tab, e)
 		globals := globalFuncLabels(shared)
 		for _, t := range e.Tests() {
 			path := e.TestSourcePath(t.ID)
 			base := Finding{Path: path, Module: e.Module, Test: t.ID}
-			units := programUnits(tree, e, t, d, k, shared)
+			units := programUnits(tab, e, t, shared)
 			if units == nil {
 				continue // the cfg pass reports the build error
 			}
 			tu := units[0]
 			g := buildCallGraph(units, noreturn)
-			out = append(out, stackFindings(g, tu, d, base, opts, &bounds)...)
+			out = append(out, stackFindings(g, tu, tab.d, base, opts, &bounds)...)
 			out = append(out, layerCallFindings(g, globals, base, opts)...)
 			out = append(out, uninitFindings(tu.u, noreturn, base, opts)...)
 			out = append(out, deadStoreFindings(tu.u, noreturn, base, opts)...)

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -21,7 +22,9 @@ type Options struct {
 	// unless the value lands inside a peripheral register block, which is
 	// a raw address however it is spelled. Default true via NewOptions.
 	AllowLocalEqu bool
-	// Derivatives to analyse across. Defaults to the full family.
+	// Derivatives to analyse across. Defaults to the full family. The
+	// report depends on the set, not on the order: Check analyses them
+	// sorted by name.
 	Derivatives []*derivative.Derivative
 	// Kinds are the platform kinds the portability pass spans. Layer and
 	// CFG analysis run at the first kind (platform macros only select
@@ -43,6 +46,11 @@ func (o *Options) normalise() {
 	}
 	if len(o.Derivatives) == 0 {
 		o.Derivatives = derivative.Family()
+	} else {
+		o.Derivatives = append([]*derivative.Derivative(nil), o.Derivatives...)
+		sort.SliceStable(o.Derivatives, func(i, j int) bool {
+			return o.Derivatives[i].Name < o.Derivatives[j].Name
+		})
 	}
 	if len(o.Kinds) == 0 {
 		// The full kind list, independent of which platform
@@ -59,6 +67,31 @@ func (o *Options) enabled(check string) bool {
 	return !o.Disable[check] && !o.Disable["all"]
 }
 
+// Key returns a canonical rendering of the normalised options: the
+// threshold, the local-.EQU rule, each derivative's full value in
+// analysis order, the kinds, and the disabled checks. Options with equal
+// keys produce the same report for the same system.
+func (o Options) Key() string {
+	o.normalise()
+	var b strings.Builder
+	fmt.Fprintf(&b, "magic=%d equ=%t", o.MagicThreshold, o.AllowLocalEqu)
+	for _, d := range o.Derivatives {
+		fmt.Fprintf(&b, "\nderiv=%+v", *d) // every field; maps print sorted
+	}
+	for _, k := range o.Kinds {
+		fmt.Fprintf(&b, "\nkind=%s", k)
+	}
+	var off []string
+	for id, disabled := range o.Disable {
+		if disabled {
+			off = append(off, id)
+		}
+	}
+	sort.Strings(off)
+	fmt.Fprintf(&b, "\ndisable=%s", strings.Join(off, ","))
+	return b.String()
+}
+
 // Check runs every analyzer pass over a system environment and returns
 // the report. Findings are deterministic: same system, same options,
 // same bytes out.
@@ -69,19 +102,24 @@ func Check(s *sysenv.System, opts Options) *Report {
 		r.Derivatives = append(r.Derivatives, d.Name)
 	}
 
-	// Layer + CFG + whole-program flow run once per derivative; findings
-	// present on every derivative merge into one variant-free finding.
-	perDeriv := make([][]Finding, len(opts.Derivatives))
-	for i, d := range opts.Derivatives {
-		perDeriv[i] = append(layerFindings(s, d, opts.Kinds[0], opts),
-			cfgFindings(s, d, opts.Kinds[0], opts)...)
-		flow, bounds := flowFindings(s, d, opts.Kinds[0], opts)
-		perDeriv[i] = append(perDeriv[i], flow...)
-		r.Stack = append(r.Stack, bounds...)
+	// Layer + CFG + whole-program flow run once per derivative, together
+	// with that derivative's portability probes; the derivatives run in
+	// parallel and merge in analysis order. Findings present on every
+	// derivative merge into one variant-free finding.
+	passes := make([]derivPass, len(opts.Derivatives))
+	fanOut(len(passes), func(i int) {
+		passes[i] = checkDerivative(s, opts.Derivatives[i], opts)
+	})
+	perDeriv := make([][]Finding, len(passes))
+	probes := make([]probeSet, len(passes))
+	for i, p := range passes {
+		perDeriv[i] = p.findings
+		probes[i] = p.probes
+		r.Stack = append(r.Stack, p.bounds...)
 	}
 	r.Findings = append(r.Findings, mergeVariants(opts.Derivatives, perDeriv)...)
 
-	r.Findings = append(r.Findings, portFindings(s, opts)...)
+	r.Findings = append(r.Findings, portFindings(s, opts, probes)...)
 	r.Findings = append(r.Findings, deadFindings(s, opts)...)
 	r.Findings = append(r.Findings, traceFindings(s, opts)...)
 
@@ -98,6 +136,29 @@ func Check(s *sysenv.System, opts Options) *Report {
 	})
 	r.Sort()
 	return r
+}
+
+// derivPass is one derivative's share of a Check call.
+type derivPass struct {
+	findings []Finding
+	bounds   []StackBound
+	probes   probeSet
+}
+
+// checkDerivative runs the layer, CFG and flow passes for one derivative
+// over one unit table, and assembles the derivative's portability
+// probes.
+func checkDerivative(s *sysenv.System, d *derivative.Derivative, opts Options) derivPass {
+	tab := newUnitTable(s, d, opts.Kinds[0])
+	var p derivPass
+	p.findings = append(layerFindings(s, tab, opts), cfgFindings(s, tab, opts)...)
+	flow, bounds := flowFindings(s, tab, opts)
+	p.findings = append(p.findings, flow...)
+	p.bounds = bounds
+	if opts.enabled(CheckVariantDiverge) {
+		p.probes = probeSymbols(s, tab.tree, d, opts.Kinds)
+	}
+	return p
 }
 
 // finding builds a Finding with the check's default severity.

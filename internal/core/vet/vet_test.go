@@ -323,6 +323,73 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
+// TestReportIgnoresDerivativeOrder: the report depends on the set of
+// derivatives, not on the order the options list them, so a gate over a
+// permuted -derivs list produces the bytes the certification seals.
+func TestReportIgnoresDerivativeOrder(t *testing.T) {
+	s := content.PortedSystem()
+	want, err := Check(s, NewOptions()).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := derivative.Family()
+	for _, perm := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}} {
+		opts := NewOptions()
+		for _, i := range perm {
+			opts.Derivatives = append(opts.Derivatives, fam[i])
+		}
+		listed := opts.Derivatives[0]
+		got, err := Check(s, opts).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("derivatives in order %v: report differs from the family order", perm)
+		}
+		if opts.Derivatives[0] != listed {
+			t.Error("Check reordered the caller's derivative list")
+		}
+		if opts.Key() != NewOptions().Key() {
+			t.Errorf("derivatives in order %v: options key differs from the family order", perm)
+		}
+	}
+}
+
+// TestOptionsKey: options that can change the report have different
+// keys, down to a derivative's value behind an unchanged name.
+func TestOptionsKey(t *testing.T) {
+	base := NewOptions().Key()
+	if (Options{}).Key() == base {
+		t.Error("AllowLocalEqu off keys like the defaults")
+	}
+	explicit := NewOptions()
+	explicit.MagicThreshold = 15
+	explicit.Derivatives = derivative.Family()
+	explicit.Disable = map[string]bool{CheckDeadDefine: false}
+	if explicit.Key() != base {
+		t.Error("explicit defaults key differently from the defaults")
+	}
+	variants := map[string]func(o *Options){
+		"threshold": func(o *Options) { o.MagicThreshold = 3 },
+		"subset":    func(o *Options) { o.Derivatives = derivative.Family()[:2] },
+		"kinds":     func(o *Options) { o.Kinds = o.Kinds[1:] },
+		"disable":   func(o *Options) { o.Disable = map[string]bool{CheckDeadDefine: true} },
+		"budget": func(o *Options) {
+			sec := derivative.SEC()
+			sec.StackBytes *= 2
+			o.Derivatives = append(derivative.Family()[:3], sec)
+		},
+	}
+	for name, change := range variants {
+		o := NewOptions()
+		o.normalise()
+		change(&o)
+		if o.Key() == base {
+			t.Errorf("%s: changed options key like the defaults", name)
+		}
+	}
+}
+
 func TestSeverityAndChecksTable(t *testing.T) {
 	if len(Checks()) != len(severityOf) {
 		t.Errorf("Checks() lists %d ids, severity table has %d", len(Checks()), len(severityOf))
