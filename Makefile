@@ -60,8 +60,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCFGDecode -fuzztime $(FUZZTIME) ./internal/core/vet
 	$(GO) test -run xxx -fuzz FuzzCallGraph -fuzztime $(FUZZTIME) ./internal/core/vet
 
-# The concurrency gate: the regression runner, the build cache's
-# singleflight, and every cached build path run under -race.
+# The concurrency gate: the regression runner, the memo table's
+# singleflight behind every cache, and every cached path run under -race.
 race: vet
 	$(GO) test -race ./...
 

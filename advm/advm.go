@@ -204,16 +204,12 @@ type (
 	// BuildCache memoises materialised trees, assembled objects, and
 	// linked images by content hash, with singleflight deduplication.
 	BuildCache = buildcache.Cache
-	// BuildCacheStats is a cache hit/miss/size snapshot.
-	BuildCacheStats = buildcache.Stats
 	// BuildContext binds a BuildCache to a system content epoch.
 	BuildContext = sysenv.BuildContext
 	// RunCache memoises deterministic-platform run outcomes by content
 	// hash (image, kind, hardware config, run bounds), with singleflight
 	// deduplication.
 	RunCache = runcache.Cache
-	// RunCacheStats is a run-cache hit/miss/bypass snapshot.
-	RunCacheStats = runcache.Stats
 	// PredecodeStats snapshots the simulators' predecoded-fetch counters.
 	PredecodeStats = predecode.Stats
 	// KindTime aggregates per-cell build/run time for one platform kind.

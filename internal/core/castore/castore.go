@@ -17,10 +17,10 @@
 //
 // Writes are atomic: the payload is staged in tmp/ and renamed into
 // place, so a reader never observes a half-written entry and a crashed
-// writer leaves only a stale temp file (swept on the next Open). Same-
-// key writers are deduplicated twice: an in-process singleflight map,
-// and an advisory flock on a per-key lock file for writers in other
-// processes.
+// writer leaves only a stale temp file (swept on the next Open). Lock
+// takes an advisory flock on a per-key lock file, which the memo table
+// in front of the store (internal/core/memo) uses to let one process
+// fill a key while same-key writers in other processes wait.
 //
 // Eviction is LRU by modification time: Get touches the entry's mtime
 // (the portable stand-in for atime, which most filesystems mount
@@ -110,15 +110,7 @@ type Store struct {
 	bytes   int64
 	base    Stats // persisted lifetime counters as of Open
 	session Stats // this process's event counters
-	flight  map[string]*flight
 	gcBusy  bool
-}
-
-// flight is one in-process in-flight fill.
-type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
 }
 
 // Open opens (creating if needed) the store rooted at dir: builds the
@@ -131,7 +123,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.TmpMaxAge <= 0 {
 		opts.TmpMaxAge = defaultTmpMaxAge
 	}
-	s := &Store{dir: dir, opts: opts, flight: map[string]*flight{}}
+	s := &Store{dir: dir, opts: opts}
 	for _, d := range []string{s.objectsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("castore: %w", err)
@@ -338,50 +330,6 @@ func flockFile(path string) func() {
 		syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 		f.Close()
 	}
-}
-
-// Do returns the payload under key, running fill to produce it on first
-// use. Same-key callers are deduplicated at both scopes: concurrent
-// goroutines share one in-flight fill (singleflight), and concurrent
-// processes serialise on the key's file lock, with the lock loser
-// re-reading the winner's entry instead of refilling. The second return
-// reports whether the payload came from the store (or a merged fill)
-// rather than this caller's own fill. A fill error is returned and not
-// stored.
-func (s *Store) Do(key string, fill func() ([]byte, error)) ([]byte, bool, error) {
-	if data, ok := s.Get(key); ok {
-		return data, true, nil
-	}
-	s.mu.Lock()
-	if f, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.data, true, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flight[key] = f
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.flight, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-	unlock := s.Lock(key)
-	defer unlock()
-	// Another process may have filled the key while we waited for its
-	// lock.
-	if data, ok := s.Get(key); ok {
-		f.data = data
-		return data, true, nil
-	}
-	data, err := fill()
-	if err != nil {
-		f.err = err
-		return nil, false, err
-	}
-	f.data = data
-	return data, false, s.Put(key, data)
 }
 
 // GC evicts least-recently-used entries (oldest mtime first; Get

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core/memo"
 )
 
 func testKey(s string) string {
@@ -191,33 +191,49 @@ func TestKillDuringWriteSweep(t *testing.T) {
 	}
 }
 
-// TestDoSingleflightGoroutines runs many same-key writers from one
-// process: exactly one fill must run, everyone gets the payload.
+// table is a memo table over s holding raw payloads — the shape in
+// which the build and run caches put the store behind their tables.
+func table(s *Store) *memo.Cache[[]byte] {
+	c := memo.New[[]byte](nil)
+	c.SetBackend(s,
+		func(data []byte) ([]byte, bool) { return data, true },
+		func(data []byte) ([]byte, int64, bool) { return data, int64(len(data)), true })
+	return c
+}
+
+// TestDoSingleflightGoroutines races 16 goroutines on one key through
+// four memo tables over one store. Each table merges its own callers;
+// across tables only the store's per-key Lock and the re-read under it
+// keep the fill to one run.
 func TestDoSingleflightGoroutines(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := []*memo.Cache[[]byte]{table(s), table(s), table(s), table(s)}
 	key := testKey("flight")
 	var fills atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func() {
+		go func(c *memo.Cache[[]byte]) {
 			defer wg.Done()
-			data, _, err := s.Do(key, func() ([]byte, error) {
+			data, err := c.Do(key, func() ([]byte, int64, error) {
 				fills.Add(1)
 				time.Sleep(20 * time.Millisecond)
-				return []byte("the one payload"), nil
+				return []byte("the one payload"), 15, nil
 			})
 			if err != nil || string(data) != "the one payload" {
 				t.Errorf("Do = %q, %v", data, err)
 			}
-		}()
+		}(tables[i%len(tables)])
 	}
 	wg.Wait()
 	if n := fills.Load(); n != 1 {
 		t.Fatalf("%d fills ran, want 1 (singleflight)", n)
+	}
+	if got, ok := s.Get(key); !ok || string(got) != "the one payload" {
+		t.Fatalf("store holds %q, %v after the fill", got, ok)
 	}
 }
 
@@ -227,67 +243,16 @@ func TestDoErrorNotStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey("err")
-	if _, _, err := s.Do(key, func() ([]byte, error) { return nil, fmt.Errorf("boom") }); err == nil {
+	if _, err := table(s).Do(key, func() ([]byte, int64, error) { return nil, 0, fmt.Errorf("boom") }); err == nil {
 		t.Fatal("fill error swallowed")
 	}
-	// The failure was not persisted; the next Do fills for real.
-	data, cached, err := s.Do(key, func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || cached || string(data) != "ok" {
-		t.Fatalf("Do after error = %q, cached=%v, err=%v", data, cached, err)
+	// The failure was not persisted; the next table over the store fills
+	// for real.
+	filled := false
+	data, err := table(s).Do(key, func() ([]byte, int64, error) { filled = true; return []byte("ok"), 2, nil })
+	if err != nil || !filled || string(data) != "ok" {
+		t.Fatalf("Do after error = %q, filled=%v, err=%v", data, filled, err)
 	}
-}
-
-// TestDoTwoProcesses runs two whole processes racing Do on the same key
-// in a shared store: the flock must let exactly one fill run.
-func TestDoTwoProcesses(t *testing.T) {
-	dir := t.TempDir()
-	run := func(out *[]byte, wg *sync.WaitGroup) {
-		defer wg.Done()
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCastoreHelperProcess$", "-test.v")
-		cmd.Env = append(os.Environ(), "CASTORE_HELPER_DIR="+dir)
-		b, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Errorf("helper process: %v\n%s", err, b)
-		}
-		*out = b
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var out1, out2 []byte
-	go run(&out1, &wg)
-	go run(&out2, &wg)
-	wg.Wait()
-	combined := string(out1) + string(out2)
-	if n := strings.Count(combined, "castore-helper: filled"); n != 1 {
-		t.Fatalf("%d processes ran the fill, want exactly 1:\n%s", n, combined)
-	}
-	if n := strings.Count(combined, "castore-helper: got the one payload"); n != 2 {
-		t.Fatalf("%d processes saw the payload, want 2:\n%s", n, combined)
-	}
-}
-
-// TestCastoreHelperProcess is not a test: it is the subprocess body of
-// TestDoTwoProcesses, guarded by the environment variable.
-func TestCastoreHelperProcess(t *testing.T) {
-	dir := os.Getenv("CASTORE_HELPER_DIR")
-	if dir == "" {
-		t.Skip("helper process for TestDoTwoProcesses")
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _, err := s.Do(testKey("xproc"), func() ([]byte, error) {
-		fmt.Println("castore-helper: filled")
-		// Hold the key long enough that the sibling process arrives
-		// while the fill is in flight and must wait on the flock.
-		time.Sleep(300 * time.Millisecond)
-		return []byte("the one payload"), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("castore-helper: got %s\n", data)
 }
 
 // TestGCUnderByteBudget fills past a budget and checks the LRU sweep:

@@ -7,6 +7,9 @@ import (
 	"repro/internal/core/buildcache"
 	"repro/internal/core/content"
 	"repro/internal/core/derivative"
+	"repro/internal/core/journal"
+	"repro/internal/core/runcache"
+	"repro/internal/core/telemetry"
 	"repro/internal/obj"
 	"repro/internal/platform"
 	"repro/internal/soc"
@@ -157,5 +160,82 @@ func TestCachedRegressionMatchesUncached(t *testing.T) {
 	}
 	if got := spec.Cache.Stats().Misses; got != missesAfterFirst {
 		t.Errorf("warm regression caused %d new misses", got-missesAfterFirst)
+	}
+}
+
+// sharedCacheSpec is one small matrix over a build cache and a run cache
+// that every run of it shares, as advm.NewBuildCache recommends.
+func sharedCacheSpec() Spec {
+	return Spec{
+		Derivatives: []*derivative.Derivative{derivative.A()},
+		Kinds:       []platform.Kind{platform.KindGolden},
+		Modules:     []string{"NVM"},
+		SkipVet:     true,
+		Cache:       buildcache.New(),
+		RunCache:    runcache.New(),
+	}
+}
+
+// TestSharedCacheMetricsStayWithTheirRun: a run's registry receives its
+// own cache lookups only — a later run over the same caches neither
+// keeps counting into the finished run's registry nor inherits its
+// counts.
+func TestSharedCacheMetricsStayWithTheirRun(t *testing.T) {
+	s := content.PortedSystem()
+	sl := freeze(t, s)
+	spec := sharedCacheSpec()
+	first := telemetry.NewRegistry()
+	spec.Metrics = first
+	rep, err := Run(s, sl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := first.Snapshot().Counters
+	if before["runcache.misses"] != uint64(len(rep.Outcomes)) {
+		t.Fatalf("first run counted %d run-cache misses, want %d", before["runcache.misses"], len(rep.Outcomes))
+	}
+	spec.Metrics = nil
+	if _, err := Run(s, sl, spec); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range first.Snapshot().Counters {
+		if n != before[name] {
+			t.Errorf("a later run moved the finished run's %s from %d to %d", name, before[name], n)
+		}
+	}
+	spec.Metrics = telemetry.NewRegistry()
+	if _, err := Run(s, sl, spec); err != nil {
+		t.Fatal(err)
+	}
+	got := spec.Metrics.Snapshot().Counters
+	if got["runcache.hits"] != uint64(len(rep.Outcomes)) || got["runcache.misses"] != 0 || got["buildcache.misses"] != 0 {
+		t.Errorf("warm run counted %d run hits, %d run misses, %d build misses; want %d, 0, 0",
+			got["runcache.hits"], got["runcache.misses"], got["buildcache.misses"], len(rep.Outcomes))
+	}
+}
+
+// TestJournalEndReportsOwnLookups: the end record of a run served
+// entirely from a shared run cache reports that run's hits, not the
+// misses an earlier run paid.
+func TestJournalEndReportsOwnLookups(t *testing.T) {
+	s := content.PortedSystem()
+	sl := freeze(t, s)
+	spec := sharedCacheSpec()
+	rep, err := Run(s, sl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &collectSink{}
+	spec.Journal = sink
+	if _, err := Run(s, sl, spec); err != nil {
+		t.Fatal(err)
+	}
+	end := sink.byKind(journal.KindEnd)
+	if len(end) != 1 {
+		t.Fatalf("end records = %d, want 1", len(end))
+	}
+	if e := end[0]; e.RunHits != uint64(len(rep.Outcomes)) || e.RunMiss != 0 || e.BuildHits != 0 || e.BuildMiss != 0 {
+		t.Errorf("warm run's end record: run %d hits/%d misses, build %d hits/%d misses; want %d/0, 0/0",
+			e.RunHits, e.RunMiss, e.BuildHits, e.BuildMiss, len(rep.Outcomes))
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core/derivative"
 	"repro/internal/core/history"
 	"repro/internal/core/journal"
+	"repro/internal/core/memo"
 	"repro/internal/core/release"
 	"repro/internal/core/resilience"
 	"repro/internal/core/runcache"
@@ -96,8 +97,12 @@ type Spec struct {
 	// outcome is a pure function of (image, kind, config, bounds).
 	RunCache *runcache.Cache
 	// Metrics, when non-nil, receives regression counters (cells run,
-	// pass/fail/broken, build/run latency histograms) and is threaded
-	// into the build pipeline for assembler and cache counters.
+	// pass/fail/broken, build/run latency histograms), is threaded into
+	// the build pipeline for assembler counters, and at the end of the
+	// run receives this run's own cache lookups (buildcache.* and
+	// runcache.*, as does the journal's end record): the caches'
+	// counter growth during the run, so runs overlapping on one shared
+	// cache share the tally.
 	Metrics *telemetry.Registry
 	// Timeline, when non-nil, records one build span and one run span
 	// per cell on the executing worker's lane — a Chrome trace-event
@@ -322,12 +327,7 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 	// during this regression are keyed by exactly the content Verify
 	// just attested.
 	bc := sysenv.BuildContext{Cache: spec.Cache, Epoch: label.Epoch(), Metrics: spec.Metrics}
-	if spec.Cache != nil && spec.Metrics != nil {
-		spec.Cache.SetMetrics(spec.Metrics)
-	}
-	if spec.RunCache != nil && spec.Metrics != nil {
-		spec.RunCache.SetMetrics(spec.Metrics)
-	}
+	buildStats0, runStats0 := cacheStats(spec)
 	newPlat := spec.NewPlatform
 	if newPlat == nil {
 		newPlat = platform.New
@@ -783,7 +783,19 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 			}
 		}
 	}
+	// This run's own cache lookups: the counters' growth since the start.
+	// Runs overlapping on one shared cache share the tally.
+	buildStats, runStats := cacheStats(spec)
+	buildStats, runStats = buildStats.Since(buildStats0), runStats.Since(runStats0)
 	if spec.Metrics != nil {
+		for prefix, st := range map[string]memo.Stats{"buildcache.": buildStats, "runcache.": runStats} {
+			for name, n := range map[string]uint64{"hits": st.Hits, "misses": st.Misses,
+				"merged": st.Merged, "disk_hits": st.DiskHits, "bypassed": st.Bypassed} {
+				if n > 0 {
+					spec.Metrics.Counter(prefix + name).Add(n)
+				}
+			}
+		}
 		// Simulator hot-path gauges: process-wide predecoded-fetch totals
 		// as of the end of this regression.
 		ps := predecode.GlobalStats()
@@ -813,17 +825,22 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 				end.Quarantine++
 			}
 		}
-		if spec.Cache != nil {
-			cs := spec.Cache.Stats()
-			end.BuildHits, end.BuildMiss = cs.Hits+cs.Merged, cs.Misses
-		}
-		if spec.RunCache != nil {
-			rs := spec.RunCache.Stats()
-			end.RunHits, end.RunMiss, end.RunBypass = rs.Hits+rs.Merged, rs.Misses, rs.Bypassed
-		}
+		end.BuildHits, end.BuildMiss = buildStats.Hits+buildStats.Merged, buildStats.Misses
+		end.RunHits, end.RunMiss, end.RunBypass = runStats.Hits+runStats.Merged, runStats.Misses, runStats.Bypassed
 		emit(end)
 	}
 	return rep, nil
+}
+
+// cacheStats snapshots the spec's caches; an absent cache reads as zero.
+func cacheStats(spec Spec) (build, run memo.Stats) {
+	if spec.Cache != nil {
+		build = spec.Cache.Stats()
+	}
+	if spec.RunCache != nil {
+		run = spec.RunCache.Stats()
+	}
+	return build, run
 }
 
 // writeTriageFile renders one triage artifact into dir, creating it if

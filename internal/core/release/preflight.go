@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core/buildcache"
+	"repro/internal/core/memo"
 	"repro/internal/core/sysenv"
 	"repro/internal/core/vet"
 )
@@ -41,23 +42,23 @@ var check = vet.Check
 // label memoises it: the analyzer runs once per distinct analysis input
 // (see analysisKey) on a label, however many gates, certifications and
 // concurrent callers ask. Verify and the error-severity check still run
-// on every call, and every caller gets its own copy of the report.
+// on every call, and every caller gets its own copy of the report. A
+// caller waiting on an analysis that panics gets an error; the next call
+// analyses afresh.
 func Preflight(s *sysenv.System, sl *SystemLabel, opts vet.Options) (*vet.Report, error) {
 	if err := sl.Verify(s); err != nil {
 		return nil, err
 	}
-	r := sl.analyse(s, opts)
+	r, err := sl.reports().Do(analysisKey(s, opts), func() (*vet.Report, int64, error) {
+		return check(s, opts), 0, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	if r.Errors() > 0 {
 		return r, &PreflightError{Report: r}
 	}
 	return r, nil
-}
-
-// analysis is one memoised analyzer run on a label; done closes once rep
-// is set, or with rep nil when the analyzer panicked.
-type analysis struct {
-	done chan struct{}
-	rep  *vet.Report
 }
 
 // analysisKey names what the report depends on beyond the module content
@@ -74,47 +75,15 @@ func analysisKey(s *sysenv.System, opts vet.Options) string {
 	return buildcache.Key(parts...)
 }
 
-// analyse returns a copy of the analyzer report for s under opts,
-// running the analyzer only for the first caller of each key (a
-// singleflight: concurrent callers wait for that run).
-func (sl *SystemLabel) analyse(s *sysenv.System, opts vet.Options) *vet.Report {
-	key := analysisKey(s, opts)
-	sl.mu.Lock()
-	a, ok := sl.analyses[key]
-	if !ok {
-		if sl.analyses == nil {
-			sl.analyses = make(map[string]*analysis)
-		}
-		a = &analysis{done: make(chan struct{})}
-		sl.analyses[key] = a
-	}
-	sl.mu.Unlock()
-	if !ok {
-		func() {
-			defer func() {
-				if a.rep == nil {
-					// The analyzer panicked: forget the run, so that the
-					// waiters and later calls run it themselves.
-					sl.mu.Lock()
-					delete(sl.analyses, key)
-					sl.mu.Unlock()
-				}
-				close(a.done)
-			}()
-			a.rep = check(s, opts)
-		}()
-	}
-	<-a.done
-	if a.rep == nil {
-		return sl.analyse(s, opts)
-	}
-	return a.rep.Clone()
+// reports returns the label's analyzer-report table, one report per
+// analysis key, each caller receiving its own copy.
+func (sl *SystemLabel) reports() *memo.Cache[*vet.Report] {
+	sl.once.Do(func() { sl.analyses = memo.New((*vet.Report).Clone) })
+	return sl.analyses
 }
 
 // Analyses reports how many analyzer reports the label holds: one per
 // distinct analysis input it was preflighted with.
 func (sl *SystemLabel) Analyses() int {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return len(sl.analyses)
+	return sl.reports().Stats().Entries
 }

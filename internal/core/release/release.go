@@ -15,7 +15,9 @@ import (
 
 	"repro/internal/core/buildcache"
 	"repro/internal/core/env"
+	"repro/internal/core/memo"
 	"repro/internal/core/sysenv"
+	"repro/internal/core/vet"
 )
 
 // Label freezes one module environment.
@@ -41,8 +43,8 @@ type SystemLabel struct {
 	// Sub maps module name to the frozen module label.
 	Sub map[string]*Label
 
-	mu       sync.Mutex
-	analyses map[string]*analysis
+	once     sync.Once
+	analyses *memo.Cache[*vet.Report]
 }
 
 // HashTree hashes a file tree deterministically. It delegates to the

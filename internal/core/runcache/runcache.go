@@ -1,13 +1,14 @@
 // Package runcache is a concurrency-safe, content-addressed memoisation
-// layer for regression runs, the run-side twin of
-// internal/core/buildcache. A regression matrix re-executes the same
+// layer for regression runs: the keys, codec and purity rules that
+// specialise the memo table (internal/core/memo) to run outcomes. A
+// regression matrix re-executes the same
 // linked image on the same simulated hardware many times across
 // regressions (and, with overlapping module selections, within one), yet
 // the deterministic platforms — golden, RTL, gate — are pure functions
 // of (image, platform kind, hardware config, run bounds): no wall-clock,
 // no randomness, no external input. The cache keys each outcome by a
-// SHA-256 content address over exactly those inputs and deduplicates
-// concurrent runs of the same key with singleflight semantics.
+// SHA-256 content address over exactly those inputs, and the memo table
+// deduplicates concurrent runs of one key.
 //
 // Soundness rests on the same release-label invariant as the build
 // cache (the paper's Section 3): regressions only run against frozen
@@ -26,20 +27,13 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core/buildcache"
-	"repro/internal/core/telemetry"
+	"repro/internal/core/memo"
 	"repro/internal/obj"
 	"repro/internal/platform"
 	"repro/internal/soc"
 )
-
-// Backend is the persistent second tier, shared with the build cache —
-// one on-disk store (internal/core/castore) serves both, keyed by
-// their disjoint content-address namespaces.
-type Backend = buildcache.Backend
 
 // Cacheable reports whether a platform kind's runs are deterministic
 // functions of (image, config, bounds) and may be memoised. The golden
@@ -54,19 +48,11 @@ func Cacheable(k platform.Kind) bool {
 	return false
 }
 
-// imageHashes memoises ImageHash by image pointer: regressions share one
-// *obj.Image across the cells of a (module, test, derivative) row, and
-// images are immutable once linked.
-var imageHashes sync.Map // *obj.Image -> string
-
 // ImageHash content-addresses a linked image: entry point, segment
 // addresses and bytes, and BSS geometry — every input that affects
 // execution. Symbol and line tables are excluded; they only feed
 // tracing, which bypasses the cache.
 func ImageHash(img *obj.Image) string {
-	if h, ok := imageHashes.Load(img); ok {
-		return h.(string)
-	}
 	h := sha256.New()
 	var n [8]byte
 	w32 := func(v uint32) {
@@ -82,14 +68,18 @@ func ImageHash(img *obj.Image) string {
 		h.Write(n[:])
 		h.Write(seg.Data)
 	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	imageHashes.Store(img, sum)
-	return sum
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CellKey content-addresses one run: image, platform kind, hardware
-// configuration, and the run bounds. HWConfig is a flat value struct, so
-// its deterministic %+v rendering is a faithful serialisation.
+// OutcomeKey content-addresses one regression cell without needing the
+// built image: the release epoch (the content hash of the frozen module
+// environments) pins every source the cell's build reads, and the build
+// pipeline is deterministic, so (epoch, module, test, derivative, kind)
+// determines the image exactly. Keying on the inputs instead of the
+// output is what lets a warm hit skip the build entirely — the run
+// cache then subsumes the build cache for memoised cells. HWConfig is a
+// flat value struct, so its deterministic %+v rendering is a faithful
+// serialisation.
 //
 // Purity audit — which RunSpec fields are keyed: only the run bounds
 // (MaxInstructions, MaxCycles) affect a run's observable outcome.
@@ -100,24 +90,8 @@ func ImageHash(img *obj.Image) string {
 // is tested, not assumed: the golden package's differential fuzz suite
 // enforces the contract.) Trace/Events/Context/DebugStops never reach
 // the key because traced or cancellable runs bypass the cache entirely
-// (see Cache.Do). Anyone adding a RunSpec field that changes observable
-// results must add it to both key functions.
-func CellKey(img *obj.Image, k platform.Kind, hw soc.HWConfig, spec platform.RunSpec) string {
-	return buildcache.Key(
-		ImageHash(img),
-		k.String(),
-		fmt.Sprintf("%+v", hw),
-		fmt.Sprintf("max-insts=%d max-cycles=%d", spec.MaxInstructions, spec.MaxCycles),
-	)
-}
-
-// OutcomeKey content-addresses one regression cell without needing the
-// built image: the release epoch (the content hash of the frozen module
-// environments) pins every source the cell's build reads, and the build
-// pipeline is deterministic, so (epoch, module, test, derivative, kind)
-// determines the image exactly. Keying on the inputs instead of the
-// output is what lets a warm hit skip the build entirely — the run
-// cache then subsumes the build cache for memoised cells.
+// (see regress.Run). Anyone adding a RunSpec field that changes
+// observable results must add it to the key.
 func OutcomeKey(epoch, module, test, deriv string, k platform.Kind, hw soc.HWConfig, spec platform.RunSpec) string {
 	return buildcache.Key(
 		epoch, module, test, deriv,
@@ -125,90 +99,6 @@ func OutcomeKey(epoch, module, test, deriv string, k platform.Kind, hw soc.HWCon
 		fmt.Sprintf("%+v", hw),
 		fmt.Sprintf("max-insts=%d max-cycles=%d", spec.MaxInstructions, spec.MaxCycles),
 	)
-}
-
-// Stats is a point-in-time snapshot of the cache counters.
-type Stats struct {
-	// Hits counts Do calls answered from a completed entry.
-	Hits uint64
-	// Misses counts Do calls that executed the run.
-	Misses uint64
-	// Merged counts Do calls that blocked on another caller's in-flight
-	// run instead of duplicating it.
-	Merged uint64
-	// DiskHits counts Do calls answered from the persistent backend
-	// instead of simulating.
-	DiskHits uint64
-	// Bypassed counts runs that skipped the cache: non-deterministic
-	// platform kinds, fault-injection harnesses, traced runs.
-	Bypassed uint64
-	// Entries is the number of cached outcomes (including cached errors).
-	Entries int
-}
-
-// String renders a one-line summary.
-func (s Stats) String() string {
-	line := fmt.Sprintf("%d hits, %d misses, %d merged (%.1f%% reuse), %d bypassed, %d entries",
-		s.Hits, s.Misses, s.Merged, s.Reuse(), s.Bypassed, s.Entries)
-	if s.DiskHits > 0 {
-		line += fmt.Sprintf(", %d from store", s.DiskHits)
-	}
-	return line
-}
-
-// Reuse is the percentage of memoisable runs served without simulating
-// (hits, singleflight merges, and persistent-store hits), 0 on an
-// untouched cache. Bypassed runs are outside the denominator — they
-// were never candidates.
-func (s Stats) Reuse() float64 {
-	total := s.Hits + s.Misses + s.Merged + s.DiskHits
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Merged+s.DiskHits) / float64(total) * 100
-}
-
-// entry is one cache slot. ready is closed once res/err are final.
-type entry struct {
-	ready chan struct{}
-	res   *platform.Result
-	err   error
-}
-
-// Cache memoises run outcomes under content-address keys with
-// singleflight semantics. The zero value is not usable; call New.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	stats   Stats
-	metrics *telemetry.Registry
-	backend Backend
-}
-
-// New creates an empty cache.
-func New() *Cache {
-	return &Cache{entries: make(map[string]*entry)}
-}
-
-// SetMetrics mirrors the cache counters into a telemetry registry:
-// runcache.hits / runcache.misses / runcache.merged / runcache.bypassed
-// counters and a runcache.wait_ns histogram over time spent blocked on
-// another caller's in-flight run. A nil registry detaches.
-func (c *Cache) SetMetrics(r *telemetry.Registry) {
-	c.mu.Lock()
-	c.metrics = r
-	c.mu.Unlock()
-}
-
-// SetBackend attaches a persistent second tier: on an in-memory miss
-// the backend is consulted, and a successful run's result is written
-// through, so memoised outcomes survive process restarts and are shared
-// between concurrent processes. Errors are never persisted — only
-// results that produced a verdict. A nil backend detaches.
-func (c *Cache) SetBackend(b Backend) {
-	c.mu.Lock()
-	c.backend = b
-	c.mu.Unlock()
 }
 
 // persistVersion tags the on-disk result encoding; a decoder that sees
@@ -222,8 +112,12 @@ type persistedResult struct {
 	Res *platform.Result
 }
 
-// encodeResult serialises a result for the backend.
+// encodeResult serialises a result for the backend; a nil result (no
+// verdict) is not persisted.
 func encodeResult(r *platform.Result) ([]byte, bool) {
+	if r == nil {
+		return nil, false
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(persistedResult{V: persistVersion, Res: r}); err != nil {
 		return nil, false
@@ -244,15 +138,6 @@ func decodeResult(data []byte) (*platform.Result, bool) {
 	return p.Res, true
 }
 
-// Bypass records a run that skipped the cache, for the reuse accounting.
-func (c *Cache) Bypass() {
-	c.mu.Lock()
-	m := c.metrics
-	c.stats.Bypassed++
-	c.mu.Unlock()
-	m.Counter("runcache.bypassed").Inc()
-}
-
 // clone deep-copies a result so callers can mutate what they receive
 // (triage annotations, detail rewrites) without corrupting the cache.
 func clone(r *platform.Result) *platform.Result {
@@ -270,118 +155,41 @@ func clone(r *platform.Result) *platform.Result {
 	return &out
 }
 
+// Cache memoises run outcomes under content-address keys. Every caller
+// receives its own deep copy of an outcome, and Bypass counts the runs
+// that skipped the cache: non-deterministic platform kinds,
+// fault-injection harnesses, traced runs.
+type Cache struct {
+	*memo.Cache[*platform.Result]
+}
+
+// New creates an empty cache.
+func New() *Cache { return &Cache{memo.New(clone)} }
+
+// SetBackend attaches a persistent second tier, shared with the build
+// cache — one on-disk store (internal/core/castore) serves both, keyed
+// by their disjoint content-address namespaces. Memoised outcomes then
+// survive process restarts and are shared between concurrent processes.
+// Errors are never persisted — only results that produced a verdict. A
+// nil backend detaches.
+func (c *Cache) SetBackend(b memo.Backend) {
+	c.Cache.SetBackend(b, encodeResult, func(data []byte) (*platform.Result, int64, bool) {
+		r, ok := decodeResult(data)
+		return r, 0, ok
+	})
+}
+
 // Do returns the outcome cached under key, executing run to produce it
-// on first use. Concurrent calls for the same key execute run exactly
-// once; the others block and share the outcome. Every caller receives
-// its own deep copy. Errors are cached too: a deterministic platform
-// fails identically on every replay. The second return reports whether
-// the outcome came from the cache (hit or merged) rather than this
-// caller's own execution.
-//
-// If run panics, the panic propagates to the caller that ran it, any
-// waiting callers receive an error, and the entry is dropped so a later
-// Do retries.
+// on first use; see memo.Cache.Do for the singleflight, error-caching and
+// panic rules. The second return reports whether the outcome came from
+// the cache (hit, merged or store) rather than this caller's own
+// execution.
 func (c *Cache) Do(key string, run func() (*platform.Result, error)) (*platform.Result, bool, error) {
-	c.mu.Lock()
-	m := c.metrics
-	if e, ok := c.entries[key]; ok {
-		select {
-		case <-e.ready:
-			c.stats.Hits++
-			c.mu.Unlock()
-			m.Counter("runcache.hits").Inc()
-		default:
-			c.stats.Merged++
-			c.mu.Unlock()
-			m.Counter("runcache.merged").Inc()
-			t0 := time.Now()
-			<-e.ready
-			m.Histogram("runcache.wait_ns").Observe(time.Since(t0))
-		}
-		return clone(e.res), true, e.err
-	}
-	e := &entry{ready: make(chan struct{})}
-	// Pre-set the failure waiters observe if run panics out of this call.
-	e.err = fmt.Errorf("runcache: run for key %.12s aborted", key)
-	c.entries[key] = e
-	c.stats.Entries++
-	backend := c.backend
-	c.mu.Unlock()
-
-	completed := false
-	defer func() {
-		if !completed {
-			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-				c.stats.Entries--
-			}
-			c.mu.Unlock()
-		}
-		close(e.ready)
-	}()
-
-	// Persistent second tier: a stored outcome fills the in-memory slot
-	// without simulating. The decoded result is cloned on the way in
-	// AND out, so no caller ever aliases the bytes another caller (or
-	// the cache itself) holds.
-	if backend != nil {
-		fromStore := func(data []byte) (*platform.Result, bool) {
-			res, ok := decodeResult(data)
-			if !ok {
-				return nil, false
-			}
-			e.res, e.err = clone(res), nil
-			completed = true
-			c.mu.Lock()
-			c.stats.DiskHits++
-			c.mu.Unlock()
-			m.Counter("runcache.disk_hits").Inc()
-			return clone(res), true
-		}
-		if data, ok := backend.Get(key); ok {
-			if res, ok := fromStore(data); ok {
-				return res, true, nil
-			}
-		}
-		// Cross-process singleflight: serialise same-key runners on the
-		// key's file lock, then re-check the store for the winner's
-		// entry before simulating.
-		unlock := backend.Lock(key)
-		defer unlock()
-		if data, ok := backend.Get(key); ok {
-			if res, ok := fromStore(data); ok {
-				return res, true, nil
-			}
-		}
-	}
-
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	m.Counter("runcache.misses").Inc()
-	res, err := run()
-	e.res, e.err = clone(res), err
-	completed = true
-	if err == nil && res != nil && backend != nil {
-		if data, ok := encodeResult(res); ok {
-			backend.Put(key, data)
-		}
-	}
-	return res, false, err
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Reset drops every entry and zeroes the counters.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*entry)
-	c.stats = Stats{}
+	ran := false
+	res, err := c.Cache.Do(key, func() (*platform.Result, int64, error) {
+		ran = true
+		r, err := run()
+		return r, 0, err
+	})
+	return res, !ran, err
 }

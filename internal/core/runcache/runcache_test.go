@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core/telemetry"
 	"repro/internal/obj"
 	"repro/internal/platform"
 	"repro/internal/soc"
@@ -62,10 +61,11 @@ func TestDoCachesAndDeepCopies(t *testing.T) {
 	}
 }
 
+// TestDoSingleflight: concurrent callers of one key share one run, and
+// exactly one of them — the one that ran it — reports an uncached outcome.
 func TestDoSingleflight(t *testing.T) {
 	c := New()
-	c.SetMetrics(telemetry.NewRegistry())
-	var runs atomic.Int64
+	var runs, uncached atomic.Int64
 	gate := make(chan struct{})
 	const callers = 16
 	var wg sync.WaitGroup
@@ -73,7 +73,7 @@ func TestDoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, _, err := c.Do("shared", func() (*platform.Result, error) {
+			r, cached, err := c.Do("shared", func() (*platform.Result, error) {
 				<-gate
 				runs.Add(1)
 				return res(0x600D), nil
@@ -81,12 +81,18 @@ func TestDoSingleflight(t *testing.T) {
 			if err != nil || r.MboxResult != 0x600D {
 				t.Errorf("Do: %v %+v", err, r)
 			}
+			if !cached {
+				uncached.Add(1)
+			}
 		}()
 	}
 	close(gate)
 	wg.Wait()
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("run executed %d times, want 1", got)
+	}
+	if got := uncached.Load(); got != 1 {
+		t.Errorf("%d callers reported an uncached outcome, want 1", got)
 	}
 	st := c.Stats()
 	if st.Hits+st.Merged != callers-1 || st.Misses != 1 {
@@ -121,19 +127,6 @@ func TestDoPanicDropsEntry(t *testing.T) {
 	}
 }
 
-func TestBypassCounting(t *testing.T) {
-	c := New()
-	c.Bypass()
-	c.Bypass()
-	if st := c.Stats(); st.Bypassed != 2 {
-		t.Errorf("bypassed = %d", st.Bypassed)
-	}
-	c.Reset()
-	if st := c.Stats(); st.Bypassed != 0 || st.Entries != 0 {
-		t.Errorf("after reset: %+v", st)
-	}
-}
-
 func TestCacheable(t *testing.T) {
 	want := map[platform.Kind]bool{
 		platform.KindGolden:   true,
@@ -157,42 +150,44 @@ func img(entry uint32, data ...byte) *obj.Image {
 	}
 }
 
-func TestImageHashAndCellKey(t *testing.T) {
+func TestImageHashAndOutcomeKey(t *testing.T) {
 	a := img(0, 1, 2, 3)
 	b := img(0, 1, 2, 3)
 	cDiff := img(0, 1, 2, 4)
 	if ImageHash(a) != ImageHash(b) {
 		t.Error("identical images hash differently")
 	}
-	if ImageHash(a) != ImageHash(a) {
-		t.Error("memoised hash unstable")
-	}
 	if ImageHash(a) == ImageHash(cDiff) {
 		t.Error("different contents share a hash")
 	}
 
 	hw := soc.DefaultConfig()
-	base := CellKey(a, platform.KindRTL, hw, platform.RunSpec{})
-	if CellKey(b, platform.KindRTL, hw, platform.RunSpec{}) != base {
-		t.Error("key must depend on content, not image identity")
-	}
-	if CellKey(a, platform.KindGate, hw, platform.RunSpec{}) == base {
-		t.Error("key must depend on platform kind")
-	}
 	hw2 := hw
 	hw2.RamWait = 7
-	if CellKey(a, platform.KindRTL, hw2, platform.RunSpec{}) == base {
-		t.Error("key must depend on hardware config")
+	base := OutcomeKey("e", "m", "t", "d", platform.KindRTL, hw, platform.RunSpec{})
+	if OutcomeKey("e", "m", "t", "d", platform.KindRTL, hw, platform.RunSpec{}) != base {
+		t.Error("key is not deterministic")
 	}
-	if CellKey(a, platform.KindRTL, hw, platform.RunSpec{MaxInstructions: 5}) == base {
-		t.Error("key must depend on run bounds")
+	for name, k := range map[string]string{
+		"epoch":           OutcomeKey("e2", "m", "t", "d", platform.KindRTL, hw, platform.RunSpec{}),
+		"module":          OutcomeKey("e", "m2", "t", "d", platform.KindRTL, hw, platform.RunSpec{}),
+		"test":            OutcomeKey("e", "m", "t2", "d", platform.KindRTL, hw, platform.RunSpec{}),
+		"derivative":      OutcomeKey("e", "m", "t", "d2", platform.KindRTL, hw, platform.RunSpec{}),
+		"platform kind":   OutcomeKey("e", "m", "t", "d", platform.KindGate, hw, platform.RunSpec{}),
+		"hardware config": OutcomeKey("e", "m", "t", "d", platform.KindRTL, hw2, platform.RunSpec{}),
+		"run bounds":      OutcomeKey("e", "m", "t", "d", platform.KindRTL, hw, platform.RunSpec{MaxInstructions: 5}),
+	} {
+		if k == base {
+			t.Errorf("key must depend on %s", name)
+		}
 	}
 }
 
 // TestStatsStringZero pins the all-bypass/empty-matrix rendering: with
 // no lookups at all the reuse percentage must read 0.0%, never NaN%.
 func TestStatsStringZero(t *testing.T) {
-	got := Stats{}.String()
+	c := New()
+	got := c.Stats().String()
 	if !strings.Contains(got, "0.0% reuse") {
 		t.Errorf("zero stats render %q, want 0.0%% reuse", got)
 	}
@@ -200,7 +195,6 @@ func TestStatsStringZero(t *testing.T) {
 		t.Errorf("zero stats render NaN: %q", got)
 	}
 	// A fresh cache that only ever bypassed must render the same way.
-	c := New()
 	c.Bypass()
 	if s := c.Stats().String(); !strings.Contains(s, "0.0% reuse") || strings.Contains(s, "NaN") {
 		t.Errorf("all-bypass stats render %q, want 0.0%% reuse", s)
@@ -208,23 +202,20 @@ func TestStatsStringZero(t *testing.T) {
 }
 
 // TestKeysEngineAgnostic pins the purity contract documented on
-// CellKey/OutcomeKey: execution engines are bit-identical, so the
-// engine knob must NOT reach either cache key — a result computed under
-// one engine is served to runs requesting any other.
+// OutcomeKey: execution engines are bit-identical, so the engine knob
+// must NOT reach the cache key — a result computed under one engine is
+// served to runs requesting any other.
 func TestKeysEngineAgnostic(t *testing.T) {
-	a := img(0, 1, 2, 3)
 	hw := soc.DefaultConfig()
 	engines := []platform.Engine{
 		platform.EngineDefault, platform.EngineInterp,
 		platform.EnginePredecode, platform.EngineTranslate,
 	}
-	cellBase := CellKey(a, platform.KindGolden, hw, platform.RunSpec{Engine: engines[0]})
-	outBase := OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, platform.RunSpec{Engine: engines[0]})
+	key := func(e platform.Engine) string {
+		return OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, platform.RunSpec{Engine: e})
+	}
 	for _, e := range engines[1:] {
-		if CellKey(a, platform.KindGolden, hw, platform.RunSpec{Engine: e}) != cellBase {
-			t.Errorf("CellKey depends on engine %v", e)
-		}
-		if OutcomeKey("e", "m", "t", "d", platform.KindGolden, hw, platform.RunSpec{Engine: e}) != outBase {
+		if key(e) != key(engines[0]) {
 			t.Errorf("OutcomeKey depends on engine %v", e)
 		}
 	}
@@ -233,15 +224,11 @@ func TestKeysEngineAgnostic(t *testing.T) {
 	// request made with another engine selected, without re-running.
 	c := New()
 	runs := 0
-	spec := platform.RunSpec{Engine: platform.EngineInterp}
-	key := CellKey(a, platform.KindGolden, hw, spec)
-	r1, hit1, err := c.Do(key, func() (*platform.Result, error) { runs++; return res(0xCAFE), nil })
+	r1, hit1, err := c.Do(key(platform.EngineInterp), func() (*platform.Result, error) { runs++; return res(0xCAFE), nil })
 	if err != nil || hit1 {
 		t.Fatalf("first Do: hit=%v err=%v", hit1, err)
 	}
-	spec2 := platform.RunSpec{Engine: platform.EngineTranslate}
-	key2 := CellKey(a, platform.KindGolden, hw, spec2)
-	r2, hit2, err := c.Do(key2, func() (*platform.Result, error) { runs++; return res(0xDEAD), nil })
+	r2, hit2, err := c.Do(key(platform.EngineTranslate), func() (*platform.Result, error) { runs++; return res(0xDEAD), nil })
 	if err != nil || !hit2 {
 		t.Fatalf("cross-engine Do: hit=%v err=%v", hit2, err)
 	}

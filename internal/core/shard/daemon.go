@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core/buildcache"
 	"repro/internal/core/derivative"
 	"repro/internal/core/history"
 	"repro/internal/core/journal"
+	"repro/internal/core/memo"
 	"repro/internal/core/regress"
 	"repro/internal/core/release"
 	"repro/internal/core/resilience"
@@ -73,7 +73,7 @@ type Daemon struct {
 	// Store, when non-nil, is served to store-role connections so
 	// remote workers warm-start from (and fill back) the daemon's
 	// persistent artifact store.
-	Store buildcache.Backend
+	Store memo.Backend
 	// RequestTimeout bounds how long an accepted connection may sit
 	// idle before its first frame (0 = DefaultRequestTimeout). An idle
 	// client costs one connection, never the service.

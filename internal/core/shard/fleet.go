@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core/buildcache"
+	"repro/internal/core/memo"
 )
 
 // ConnectOptions configures one remote worker slot joining a daemon's
@@ -190,8 +190,8 @@ func (r *RemoteStore) Lock(key string) func() { return func() {} }
 // warm-starts from the daemon's store once, then runs at local-disk
 // speed.
 type FetchThrough struct {
-	Local  buildcache.Backend
-	Remote buildcache.Backend
+	Local  memo.Backend
+	Remote memo.Backend
 }
 
 // Get consults the local tier, then the remote, filling the local tier

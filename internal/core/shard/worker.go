@@ -7,6 +7,7 @@ import (
 	"repro/internal/core/buildcache"
 	"repro/internal/core/derivative"
 	"repro/internal/core/journal"
+	"repro/internal/core/memo"
 	"repro/internal/core/regress"
 	"repro/internal/core/release"
 	"repro/internal/core/runcache"
@@ -29,7 +30,7 @@ type WorkerOptions struct {
 	// one worker (or an earlier process) is a hit for the others. Local
 	// workers mount the daemon's castore directory; remote workers mount
 	// a RemoteStore (optionally fetch-through a local castore tier).
-	Store buildcache.Backend
+	Store memo.Backend
 }
 
 // worker is the per-process state behind RunWorker: one system, one
