@@ -4,7 +4,7 @@
 #   make lint      go vet + advm-vet static analysis of the shipped suite
 #   make race      vet + full test suite under the race detector
 #   make fuzz      short-budget fuzz smoke (assembler lexer, CFG decoder,
-#                  call-graph/stack-depth analysis)
+#                  call-graph/stack-depth analysis, shard frame stream)
 #   make bench     regenerate the EXPERIMENTS.md benchmarks
 #   make cache     the build-cache benchmarks only (off/cold/warm)
 #   make bench-json  telemetry-overhead benchmarks (E12) -> BENCH_telemetry.json
@@ -52,13 +52,16 @@ vet:
 lint: vet
 	$(GO) run ./cmd/advm-lint
 
-# Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, and
-# the whole-program call-graph/stack-depth analysis, FUZZTIME each (CI
-# uses the default 10s; raise it locally for real runs).
+# Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, the
+# whole-program call-graph/stack-depth analysis, and the shard frame
+# stream as the frame reader, the client and the daemon's first-frame
+# dispatch see it, FUZZTIME each (CI uses the default 10s; raise it
+# locally for real runs).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzLexLine -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run xxx -fuzz FuzzCFGDecode -fuzztime $(FUZZTIME) ./internal/core/vet
 	$(GO) test -run xxx -fuzz FuzzCallGraph -fuzztime $(FUZZTIME) ./internal/core/vet
+	$(GO) test -run xxx -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/core/shard
 
 # The concurrency gate: the regression runner, the memo table's
 # singleflight behind every cache, and every cached path run under -race.

@@ -722,8 +722,9 @@ func AttachArtifactStore(store *ArtifactStore, bc *BuildCache, rc *RunCache) {
 	}
 }
 
-// RunShardWorker serves the worker side of the shard protocol on the
-// given streams (a daemon child's stdin/stdout) until EOF.
+// RunShardWorker serves the worker side of the shard protocol on a
+// local worker process's stdin/stdout (its daemon's socket pair) until
+// EOF, exactly as a ConnectShardWorker slot serves it over TCP.
 func RunShardWorker(r io.Reader, w io.Writer, opts ShardWorkerOptions) error {
 	return shard.RunWorker(r, w, opts)
 }

@@ -200,12 +200,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(rep.Table())
-	fmt.Println(rep.Summary())
-	for _, kt := range rep.TimesByKind() {
-		fmt.Printf("  %-10s %3d cells  build %8.1f ms  run %8.1f ms\n",
-			kt.Kind, kt.Cells, float64(kt.BuildNanos)/1e6, float64(kt.RunNanos)/1e6)
-	}
+	printReport(rep)
 	fmt.Printf("wall time: %s (%d workers)\n", wall.Round(time.Millisecond), *workers)
 	if spec.Cache != nil {
 		fmt.Printf("build cache: %s\n", spec.Cache.Stats())
@@ -274,33 +269,7 @@ func main() {
 		}
 		fmt.Printf("history: %d cells tracked in %s\n", hist.Len(), *historyDir)
 	}
-	if *junit != "" {
-		f, err := os.Create(*junit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJUnit(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("junit report written to %s\n", *junit)
-	}
-	if *bundle != "" {
-		b, err := advm.Certify(sys, sl, advm.DefaultVetOptions(), rep.BundleCells())
-		if err != nil {
-			log.Fatal(err)
-		}
-		out, err := b.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*bundle, append(out, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("certification bundle written to %s (seal %s..)\n", *bundle, b.Hash[:12])
-	}
+	writeReports(sys, sl, rep, *junit, *bundle)
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -436,12 +405,7 @@ func runServed(f servedFlags) {
 			reply.Plan.Epoch, sl.Epoch())
 	}
 	rep := reply.Report()
-	fmt.Println(rep.Table())
-	fmt.Println(rep.Summary())
-	for _, kt := range rep.TimesByKind() {
-		fmt.Printf("  %-10s %3d cells  build %8.1f ms  run %8.1f ms\n",
-			kt.Kind, kt.Cells, float64(kt.BuildNanos)/1e6, float64(kt.RunNanos)/1e6)
-	}
+	printReport(rep)
 	fmt.Printf("wall time: %s (%d worker processes on %s, daemon wall %s)\n",
 		wall.Round(time.Millisecond), reply.Plan.Workers, f.addr,
 		time.Duration(reply.Done.WallNs).Round(time.Millisecond))
@@ -462,20 +426,40 @@ func runServed(f servedFlags) {
 		}
 		fmt.Printf("journal written to %s (%d records); render with advm-report\n", f.journalPath, jw.Count())
 	}
-	if f.junit != "" {
-		out, err := os.Create(f.junit)
+	writeReports(sys, sl, rep, f.junit, f.bundle)
+	if !rep.AllPassed() {
+		os.Exit(1)
+	}
+}
+
+// printReport prints the head of both paths' output: the outcome table,
+// the summary, and each platform kind's build and run time.
+func printReport(rep *advm.RegressionReport) {
+	fmt.Println(rep.Table())
+	fmt.Println(rep.Summary())
+	for _, kt := range rep.TimesByKind() {
+		fmt.Printf("  %-10s %3d cells  build %8.1f ms  run %8.1f ms\n",
+			kt.Kind, kt.Cells, float64(kt.BuildNanos)/1e6, float64(kt.RunNanos)/1e6)
+	}
+}
+
+// writeReports writes the JUnit report and the sealed certification
+// bundle of a finished matrix, each when its path is set.
+func writeReports(sys *advm.System, sl *advm.SystemLabel, rep *advm.RegressionReport, junit, bundle string) {
+	if junit != "" {
+		f, err := os.Create(junit)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rep.WriteJUnit(out); err != nil {
+		if err := rep.WriteJUnit(f); err != nil {
 			log.Fatal(err)
 		}
-		if err := out.Close(); err != nil {
+		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("junit report written to %s\n", f.junit)
+		fmt.Printf("junit report written to %s\n", junit)
 	}
-	if f.bundle != "" {
+	if bundle != "" {
 		b, err := advm.Certify(sys, sl, advm.DefaultVetOptions(), rep.BundleCells())
 		if err != nil {
 			log.Fatal(err)
@@ -484,12 +468,9 @@ func runServed(f servedFlags) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(f.bundle, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(bundle, append(out, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("certification bundle written to %s (seal %s..)\n", f.bundle, b.Hash[:12])
-	}
-	if !rep.AllPassed() {
-		os.Exit(1)
+		fmt.Printf("certification bundle written to %s (seal %s..)\n", bundle, b.Hash[:12])
 	}
 }

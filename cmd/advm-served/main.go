@@ -2,14 +2,15 @@
 // socket for regression requests and shards the matrix cells across a
 // pool of workers, streaming each cell's outcome and flight records
 // back to the client as it completes. The process boundary is the
-// isolation: a crashed worker costs one cell, not the run.
+// isolation: a crashed or wedged worker costs one cell, not the run.
 //
 // The pool spans machines. A daemon on one host accepts requests and
 // runs its local worker processes; other hosts join the same pool with
-// -connect, registering TCP workers via an epoch-checked handshake.
-// Requests are scheduled concurrently across the shared pool, and a
-// machine that vanishes costs only its in-flight cells — missed
-// heartbeats break them and the rest of the pool drains the queue.
+// -connect. Every worker, local or remote, registers through the same
+// epoch-checked handshake and heartbeats while it works. Requests are
+// scheduled concurrently across the shared pool, and a worker that dies,
+// wedges or vanishes with its machine costs only its in-flight cell —
+// missed heartbeats break it and the rest of the pool drains the queue.
 //
 // With -store, every local worker writes build artifacts and run
 // outcomes through to a shared persistent content-addressed store, the
@@ -25,8 +26,9 @@
 //	advm-regress -serve /tmp/advm.sock -platforms all
 //
 // The daemon re-executes its own binary with -worker for each local
-// pool slot; -worker is internal and speaks the job protocol on
-// stdin/stdout.
+// pool slot. -worker is internal: its stdin and stdout are one end of a
+// socket pair, on which it joins the pool exactly as a -connect slot
+// does — the epoch-checked hello, heartbeats, then jobs.
 package main
 
 import (
@@ -38,7 +40,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -55,12 +56,11 @@ func main() {
 	storeDir := flag.String("store", "", "persistent artifact store directory (with -connect: local fetch-through tier over the daemon's store)")
 	historyDir := flag.String("history", "", "run-history store directory; enables longest-expected-first dispatch across requests")
 	verbose := flag.Bool("v", false, "log each request and worker event")
-	workerMode := flag.Bool("worker", false, "internal: run as a pool worker speaking the job protocol on stdin/stdout")
-	workerID := flag.Int("worker-id", 0, "internal: this worker's pool slot")
+	workerMode := flag.Bool("worker", false, "internal: run as a local pool worker speaking the worker protocol on stdin/stdout")
 	flag.Parse()
 
 	if *workerMode {
-		runWorker(*workerID, *storeDir)
+		runWorker(*storeDir)
 		return
 	}
 	if *connect != "" {
@@ -71,12 +71,12 @@ func main() {
 	d := &advm.ShardDaemon{
 		NewSystem: advm.StandardSystem,
 		Workers:   *workers,
-		WorkerCommand: func(id int) *exec.Cmd {
+		WorkerCommand: func(int) *exec.Cmd {
 			exe, err := os.Executable()
 			if err != nil {
 				exe = os.Args[0]
 			}
-			args := []string{"-worker", "-worker-id", strconv.Itoa(id)}
+			args := []string{"-worker"}
 			if *storeDir != "" {
 				args = append(args, "-store", *storeDir)
 			}
@@ -137,16 +137,16 @@ func main() {
 	}
 }
 
-// runWorker is the -worker mode: one pool slot, jobs on stdin, results
-// on stdout, until the daemon closes the pipe.
-func runWorker(id int, storeDir string) {
-	opts := advm.ShardWorkerOptions{ID: id, NewSystem: advm.StandardSystem}
+// runWorker is the -worker mode: one local pool slot on stdin/stdout,
+// until the daemon hangs up.
+func runWorker(storeDir string) {
+	opts := advm.ShardWorkerOptions{NewSystem: advm.StandardSystem}
 	var store *advm.ArtifactStore
 	if storeDir != "" {
 		var err error
 		store, err = advm.OpenArtifactStore(storeDir, advm.ArtifactStoreOptions{})
 		if err != nil {
-			log.Fatalf("worker %d: %v", id, err)
+			log.Fatalf("worker: %v", err)
 		}
 		opts.Store = store
 	}
@@ -155,7 +155,7 @@ func runWorker(id int, storeDir string) {
 		store.Close()
 	}
 	if err != nil {
-		log.Fatalf("worker %d: %v", id, err)
+		log.Fatalf("worker: %v", err)
 	}
 }
 
@@ -199,7 +199,7 @@ func runAgent(addr, name string, slots int, storeDir string) {
 			defer wg.Done()
 			err := advm.ConnectShardWorker(addr, advm.ShardConnectOptions{
 				WorkerOptions: advm.ShardWorkerOptions{
-					ID: i, NewSystem: advm.StandardSystem, Store: store,
+					NewSystem: advm.StandardSystem, Store: store,
 				},
 				Name: fmt.Sprintf("%s/%d", name, i),
 			})

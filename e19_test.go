@@ -101,8 +101,7 @@ func TestE19WorkerProcess(t *testing.T) {
 	if os.Getenv("ADVM_E19_WORKER") != "1" {
 		t.Skip("worker helper process")
 	}
-	id, _ := strconv.Atoi(os.Getenv("ADVM_E19_WORKER_ID"))
-	opts := advm.ShardWorkerOptions{ID: id, NewSystem: advm.StandardSystem}
+	opts := advm.ShardWorkerOptions{NewSystem: advm.StandardSystem}
 	if dir := os.Getenv("ADVM_E19_STORE"); dir != "" {
 		store, err := advm.OpenArtifactStore(dir, advm.ArtifactStoreOptions{})
 		if err != nil {

@@ -76,7 +76,12 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 		return nil, err
 	}
 	defer nc.Close()
-	conn := NewConn(nc, nc)
+	return request(NewConn(nc, nc), req, onResult)
+}
+
+// request is Regress on an open connection. A malformed daemon stream
+// is an error, never a panic.
+func request(conn *Conn, req Request, onResult func(*Result)) (*Reply, error) {
 	if err := conn.Write(Frame{Type: FrameRequest, Request: &req}); err != nil {
 		return nil, err
 	}
@@ -89,6 +94,15 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 	}
 	if f.Type != FramePlan || f.Plan == nil {
 		return nil, fmt.Errorf("shard: expected plan, got %q", f.Type)
+	}
+	// The merge lays cells out in dispatch order, so it must be absent
+	// or a permutation of the cell indices.
+	scheduled := make([]bool, len(f.Plan.Cells))
+	for _, i := range f.Plan.Dispatch {
+		if len(f.Plan.Dispatch) != len(scheduled) || i < 0 || i >= len(scheduled) || scheduled[i] {
+			return nil, fmt.Errorf("shard: plan dispatch is not a permutation of its %d cells", len(scheduled))
+		}
+		scheduled[i] = true
 	}
 	reply := &Reply{
 		Plan:     f.Plan,
@@ -131,6 +145,9 @@ func Regress(addr string, req Request, onResult func(*Result)) (*Reply, error) {
 		case FrameError:
 			return nil, fmt.Errorf("shard: daemon error: %s", f.Error)
 		case FrameDone:
+			if f.Done == nil {
+				return nil, fmt.Errorf("shard: done frame without its counts")
+			}
 			if seen != len(reply.Outcomes) {
 				return nil, fmt.Errorf("shard: done after %d of %d cells", seen, len(reply.Outcomes))
 			}

@@ -1,14 +1,16 @@
 package shard
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"net"
+	"os"
 	"os/exec"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/core/derivative"
@@ -25,20 +27,24 @@ import (
 
 // DefaultRequestTimeout bounds how long an accepted connection may sit
 // idle before its first frame; DefaultPing is the heartbeat interval
-// remote workers commit to when they don't choose their own, and
-// pingMissFactor is how many missed heartbeats declare a machine dead.
+// workers commit to when they don't choose their own, pingMissFactor is
+// how many missed heartbeats declare a worker lost, and closeGrace is how
+// long Close lets a local worker exit before killing it.
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultPing           = 2 * time.Second
 	pingMissFactor        = 4
+	closeGrace            = 5 * time.Second
 )
 
 // Daemon shards regression requests across a pool of workers: local
 // worker processes it spawns itself, plus any remote workers that
-// register over TCP (advm-served -connect). It owns the matrix-level
-// decisions — freezing the release label, running the vet preflight
-// once, enumerating cells, dispatching longest-expected-first from its
-// history store — and leaves each cell's build and run to a worker.
+// register over TCP (advm-served -connect). Both join through the same
+// hello and heartbeat, and run cells in the same loop. The daemon owns
+// the matrix-level decisions — freezing the release label, running the
+// vet preflight once, enumerating cells, dispatching
+// longest-expected-first from its history store — and leaves each cell's
+// build and run to a worker.
 //
 // Requests are concurrent: every request feeds the same dispatch queue
 // and the pool interleaves cells from all active requests, with results
@@ -47,13 +53,12 @@ const (
 // request's dispatch order — so the masked journal stays byte-identical
 // to a serial run regardless of what else shared the pool.
 //
-// Crash isolation is the point of the process boundary: a local worker
-// that dies (OOM, a platform model segfaulting through cgo, a kill -9)
-// costs exactly its in-flight cell, which is reported broken while a
-// replacement worker takes over the queue. A remote machine that
-// vanishes (network partition, power loss) is detected by missed
-// heartbeats and costs only its in-flight cells; the local pool is the
-// liveness floor that always drains the queue.
+// Crash isolation is the point of the process boundary: a worker that
+// dies (OOM, a platform model segfaulting through cgo, a kill -9),
+// wedges, or vanishes with its machine costs exactly its in-flight cell,
+// reported broken once its connection closes or its heartbeats stop. A
+// lost local worker is respawned; the local pool is the liveness floor
+// that always drains the queue.
 type Daemon struct {
 	// NewSystem constructs the daemon's module environments (for
 	// freezing, vet, and enumeration — the daemon never builds a cell).
@@ -62,10 +67,10 @@ type Daemon struct {
 	// local pool guarantees the dispatch queue always drains even if
 	// every remote machine vanishes).
 	Workers int
-	// WorkerCommand builds the command for worker process id. The
-	// command must speak the job/result protocol on stdin/stdout —
-	// normally the daemon binary re-executing itself with a -worker
-	// flag.
+	// WorkerCommand builds the command for local worker slot id. The
+	// command must serve RunWorker on its stdin/stdout, which the daemon
+	// connects to a socket pair — normally the daemon binary
+	// re-executing itself with a -worker flag.
 	WorkerCommand func(id int) *exec.Cmd
 	// History, when non-nil, orders dispatch longest-expected-first and
 	// learns each completed cell's times (saved after every request).
@@ -81,18 +86,18 @@ type Daemon struct {
 	// Logf, when non-nil, receives daemon progress lines.
 	Logf func(format string, args ...any)
 
-	mu         sync.Mutex // guards started/closed, remotes, epoch, label
+	mu         sync.Mutex // guards every field up to label
 	started    bool
 	closed     bool
 	helloEpoch string
-	remotes    map[string]*remoteWorker
+	members    map[int]*member // the pool, by member ID
+	nextID     int
 	label      *release.SystemLabel // the last request label frozen
 
 	queue  chan *task
 	quit   chan struct{}
-	wg     sync.WaitGroup // slot + remote loops
+	wg     sync.WaitGroup // member loops and local supervisors
 	reqSeq atomic.Uint64
-	slots  atomic.Int64 // pool size, for Plan.Workers
 }
 
 // task is one cell queued for dispatch: the job plus the owning
@@ -103,38 +108,26 @@ type task struct {
 	done chan *Result
 }
 
-// workerProc is one live local worker process.
-type workerProc struct {
-	id    int
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	conn  *Conn
-}
-
-// remoteWorker is one registered remote worker connection.
-type remoteWorker struct {
+// member is one registered worker: a local process on its socket pair
+// or a remote slot on its TCP connection.
+type member struct {
+	id   int // pool-unique, stamped on every result the member returns
 	name string
 	nc   net.Conn
 	conn *Conn
 	ping time.Duration
-	// frames carries non-ping frames from the reader goroutine; dead
-	// closes when the connection errors or misses its heartbeats.
+	// frames carries non-ping frames from the reader goroutine (a member
+	// owes one result at a time); dead closes when the connection fails
+	// or misses its heartbeats, after err is set to why.
 	frames chan Frame
 	dead   chan struct{}
-	err    atomic.Value // error string once dead
+	err    error
 }
 
 func (d *Daemon) logf(format string, args ...any) {
 	if d.Logf != nil {
 		d.Logf(format, args...)
 	}
-}
-
-func (d *Daemon) requestTimeout() time.Duration {
-	if d.RequestTimeout > 0 {
-		return d.RequestTimeout
-	}
-	return DefaultRequestTimeout
 }
 
 // freeze freezes a request's system with release.Freeze — the recipe
@@ -157,25 +150,8 @@ func (d *Daemon) freeze(name string, sys *sysenv.System) (*release.SystemLabel, 
 	return l, nil
 }
 
-// spawn starts worker process id and wires its pipes.
-func (d *Daemon) spawn(id int) (*workerProc, error) {
-	cmd := d.WorkerCommand(id)
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	d.logf("worker %d: pid %d", id, cmd.Process.Pid)
-	return &workerProc{id: id, cmd: cmd, stdin: stdin, conn: NewConn(stdout, stdin)}, nil
-}
-
-// Start spawns the local worker pool and the dispatch machinery.
+// Start spawns the local worker pool and returns once every local worker
+// has joined it, so a worker that cannot start fails Start.
 func (d *Daemon) Start() error {
 	if d.NewSystem == nil {
 		return fmt.Errorf("shard: daemon needs a NewSystem constructor")
@@ -187,45 +163,34 @@ func (d *Daemon) Start() error {
 	if err != nil {
 		return fmt.Errorf("shard: freeze probe label: %w", err)
 	}
-	n := d.Workers
-	if n < 1 {
-		n = 1
-	}
-	procs := make([]*workerProc, n)
-	for i := 0; i < n; i++ {
-		w, err := d.spawn(i)
-		if err != nil {
-			for _, p := range procs {
-				if p != nil {
-					p.stdin.Close()
-					p.cmd.Wait()
-				}
-			}
-			return fmt.Errorf("shard: spawn worker %d: %w", i, err)
-		}
-		procs[i] = w
-	}
 	d.mu.Lock()
 	d.started = true
 	d.helloEpoch = label.Epoch()
-	d.remotes = make(map[string]*remoteWorker)
-	d.mu.Unlock()
+	d.members = make(map[int]*member)
 	d.queue = make(chan *task)
 	d.quit = make(chan struct{})
-	d.slots.Store(int64(n))
-	for i, w := range procs {
+	d.mu.Unlock()
+	n := max(d.Workers, 1)
+	joined := make(chan error, n)
+	for slot := range n {
 		d.wg.Add(1)
-		go d.slotLoop(i, w)
+		go d.supervise(slot, joined)
+	}
+	for range n {
+		err = cmp.Or(err, <-joined)
+	}
+	if err != nil {
+		d.Close()
+		return fmt.Errorf("shard: start %w", err)
 	}
 	return nil
 }
 
-// Close shuts the pool down: it signals every slot and remote loop to
-// stop and waits for them, so it synchronises with any in-flight
-// request (active requests observe the quit signal and fail their
-// clients cleanly; no loop touches a worker process after Close
-// returns). Each slot loop closes its own worker's stdin — the
-// protocol's EOF — so workers exit cleanly and are reaped.
+// Close shuts the pool down: it signals every loop to stop, closes every
+// member's connection (a worker's EOF), and waits for the loops and local
+// supervisors, so it synchronises with any in-flight request (active
+// requests observe the quit signal and fail their clients cleanly; no
+// goroutine touches a worker after Close returns).
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if !d.started || d.closed {
@@ -233,69 +198,97 @@ func (d *Daemon) Close() {
 		return
 	}
 	d.closed = true
-	remotes := make([]*remoteWorker, 0, len(d.remotes))
-	for _, rw := range d.remotes {
-		remotes = append(remotes, rw)
+	close(d.quit)
+	for _, m := range d.members {
+		m.nc.Close()
 	}
 	d.mu.Unlock()
-	close(d.quit)
-	// Unblock remote reader goroutines parked in conn.Read.
-	for _, rw := range remotes {
-		rw.nc.Close()
-	}
 	d.wg.Wait()
 }
 
-// PoolSize reports the current dispatch pool size: local slots plus
-// registered remote workers. Plans stamp it as Plan.Workers.
-func (d *Daemon) PoolSize() int { return int(d.slots.Load()) }
+// PoolSize reports the number of registered workers, local and remote.
+// Plans stamp it as Plan.Workers.
+func (d *Daemon) PoolSize() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.members)
+}
 
-// slotLoop is one local pool slot: it owns its worker process (no other
-// goroutine touches it — the ownership is what makes Close race-free),
-// drains the shared dispatch queue, and respawns the worker after a
-// crash. If a respawn fails the slot keeps draining, breaking its share
-// of the queue, so every request still produces a full matrix.
-func (d *Daemon) slotLoop(slot int, w *workerProc) {
+// supervise owns local slot's worker process, the only local-only code:
+// it reports the first join on joined, then kills, reaps and respawns the
+// worker whenever its member is lost. While a respawn fails it breaks one
+// queued cell per attempt, so every request still produces a full matrix.
+func (d *Daemon) supervise(slot int, joined chan<- error) {
 	defer d.wg.Done()
-	defer func() {
-		if w != nil {
-			w.stdin.Close()
-			w.cmd.Wait()
-		}
-	}()
-	for {
+	cmd, m, err := d.spawn(slot)
+	joined <- err
+	for err == nil {
+		d.serveMember(m)
 		select {
 		case <-d.quit:
+			reap(cmd, closeGrace)
 			return
-		case t := <-d.queue:
-			if w == nil {
-				// A previous respawn failed; try again per task so a
-				// transient fork failure doesn't disable the slot for
-				// the daemon's lifetime.
-				if nw, err := d.spawn(slot); err == nil {
-					w = nw
-				} else {
-					d.logf("respawn worker %d: %v", slot, err)
-					t.done <- brokenResult(slot, t.job, "worker unavailable: respawn failed")
-					continue
-				}
+		default:
+			reap(cmd, 0) // lost: crashed, wedged or desynced
+		}
+		for cmd, m, err = d.spawn(slot); err != nil; cmd, m, err = d.spawn(slot) {
+			d.logf("respawn %v", err)
+			select {
+			case <-d.quit:
+				return
+			case t := <-d.queue:
+				t.done <- brokenResult(-1, t.job, "worker unavailable: respawn failed")
 			}
-			res, err := runOn(w, t.job)
-			if err != nil {
-				d.logf("worker %d crashed on %s: %v", slot, t.job.Cell, err)
-				res = brokenResult(slot, t.job, "worker crashed: "+err.Error())
-				w.stdin.Close()
-				w.cmd.Wait()
-				w = nil
-				if nw, serr := d.spawn(slot); serr != nil {
-					d.logf("respawn worker %d: %v", slot, serr)
-				} else {
-					w = nw
-				}
-			}
-			t.done <- res
 		}
 	}
+}
+
+// reap waits for a worker whose connection is closed, killing it if it
+// is still running after grace.
+func reap(cmd *exec.Cmd, grace time.Duration) {
+	kill := time.AfterFunc(grace, func() { cmd.Process.Kill() })
+	cmd.Wait()
+	kill.Stop()
+}
+
+// spawn starts slot's worker process on a socket pair and admits it
+// through the hello handshake a remote worker passes.
+func (d *Daemon) spawn(slot int) (*exec.Cmd, *member, error) {
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("worker %d: socket pair: %w", slot, err)
+	}
+	ours, theirs := os.NewFile(uintptr(fds[0]), "worker"), os.NewFile(uintptr(fds[1]), "worker")
+	nc, err := net.FileConn(ours)
+	ours.Close()
+	if err != nil {
+		theirs.Close()
+		return nil, nil, fmt.Errorf("worker %d: %w", slot, err)
+	}
+	cmd := d.WorkerCommand(slot)
+	cmd.Stdin, cmd.Stdout = theirs, theirs
+	err = cmd.Start()
+	theirs.Close() // the worker holds its own copy; its exit must read as EOF
+	if err != nil {
+		nc.Close()
+		return nil, nil, fmt.Errorf("worker %d: %w", slot, err)
+	}
+	conn := NewConn(nc, nc)
+	f, err := d.firstFrame(nc, conn)
+	if err == nil && (f.Type != FrameHello || f.Hello == nil) {
+		err = fmt.Errorf("sent %q, want hello", f.Type)
+	}
+	var m *member
+	if err == nil {
+		m, err = d.join(nc, conn, f.Hello, fmt.Sprintf("local/%d", slot))
+	}
+	if err != nil {
+		nc.Close()
+		reap(cmd, 0)
+		return nil, nil, fmt.Errorf("worker %d: %w", slot, err)
+	}
+	d.logf("worker %s: pid %d", m.name, cmd.Process.Pid)
+	return cmd, m, nil
 }
 
 // Serve accepts connections until the listener closes. Every connection
@@ -313,27 +306,44 @@ func (d *Daemon) Serve(l net.Listener) error {
 	}
 }
 
-// handleConn reads the connection's first frame under the request-read
-// deadline and dispatches on it.
+// firstFrame reads a connection's first frame under the request-read
+// deadline.
+func (d *Daemon) firstFrame(nc net.Conn, conn *Conn) (Frame, error) {
+	timeout := d.RequestTimeout
+	if timeout <= 0 {
+		timeout = DefaultRequestTimeout
+	}
+	nc.SetReadDeadline(time.Now().Add(timeout))
+	defer nc.SetReadDeadline(time.Time{})
+	return conn.Read()
+}
+
+// handleConn dispatches on a connection's first frame.
 func (d *Daemon) handleConn(nc net.Conn) {
 	conn := NewConn(nc, nc)
-	nc.SetReadDeadline(time.Now().Add(d.requestTimeout()))
-	f, err := conn.Read()
+	f, err := d.firstFrame(nc, conn)
 	if err != nil {
 		d.logf("read request: %v", err)
 		nc.Close()
 		return
 	}
-	nc.SetReadDeadline(time.Time{})
 	switch {
 	case f.Type == FrameRequest && f.Request != nil:
 		defer nc.Close()
 		d.handleRequest(conn, f.Request)
 	case f.Type == FrameHello && f.Hello != nil && f.Hello.Role == RoleWorker:
-		d.handleWorkerConn(nc, conn, f.Hello)
+		name := cmp.Or(f.Hello.Name, nc.RemoteAddr().String())
+		m, err := d.join(nc, conn, f.Hello, name)
+		if err != nil {
+			d.logf("remote worker %s refused: %v", name, err)
+			nc.Close()
+			return
+		}
+		d.logf("remote worker %s joined (ping %s)", m.name, m.ping)
+		d.serveMember(m)
 	case f.Type == FrameHello && f.Hello != nil && f.Hello.Role == RoleStore:
 		defer nc.Close()
-		d.handleStoreConn(nc, conn, f.Hello)
+		d.handleStoreConn(nc, conn)
 	default:
 		conn.Write(Frame{Type: FrameError,
 			Error: fmt.Sprintf("shard: expected a request or hello frame, got %q", f.Type)})
@@ -341,118 +351,68 @@ func (d *Daemon) handleConn(nc net.Conn) {
 	}
 }
 
-// handshake cross-checks a hello's probe epoch against the daemon's and
-// answers with a welcome. A worker whose content disagrees with the
-// daemon's is refused at the door: every job it could run would fail
-// the per-job epoch check anyway, so fail loudly at registration.
-func (d *Daemon) handshake(conn *Conn, h *Hello) error {
+// join registers and answers a worker's hello; the caller must run
+// serveMember on the member. A worker whose probe epoch disagrees with
+// the daemon's is refused at the door: every job it could run would fail
+// the per-job epoch check anyway. The wg.Add shares a lock with Close's
+// closed flag, so Close either waits for this member or refuses it.
+func (d *Daemon) join(nc net.Conn, conn *Conn, h *Hello, name string) (*member, error) {
+	m := &member{name: name, nc: nc, conn: conn, ping: time.Duration(h.PingNs),
+		frames: make(chan Frame, 1), dead: make(chan struct{})}
+	if m.ping <= 0 {
+		m.ping = DefaultPing
+	}
 	d.mu.Lock()
 	epoch := d.helloEpoch
-	d.mu.Unlock()
-	if h.Role == RoleWorker && h.Epoch != epoch {
-		err := fmt.Errorf("shard: epoch mismatch at registration: remote froze %s, daemon froze %s",
+	var err error
+	switch {
+	case !d.started || d.closed:
+		err = fmt.Errorf("shard: daemon is not serving")
+	case h.Epoch != epoch:
+		err = fmt.Errorf("shard: epoch mismatch at registration: remote froze %s, daemon froze %s",
 			h.Epoch, epoch)
-		conn.Write(Frame{Type: FrameError, Error: err.Error()})
-		return err
+	default:
+		m.id = d.nextID
+		d.nextID++
+		d.members[m.id] = m
+		d.wg.Add(1)
 	}
-	return conn.Write(Frame{Type: FrameWelcome, Welcome: &Welcome{Epoch: epoch}})
-}
-
-// handleWorkerConn registers a remote worker connection and runs its
-// dispatch loop until the machine vanishes or the daemon closes.
-func (d *Daemon) handleWorkerConn(nc net.Conn, conn *Conn, h *Hello) {
-	if err := d.handshake(conn, h); err != nil {
-		d.logf("remote worker %s refused: %v", h.Name, err)
-		nc.Close()
-		return
-	}
-	ping := time.Duration(h.PingNs)
-	if ping <= 0 {
-		ping = DefaultPing
-	}
-	name := h.Name
-	if name == "" {
-		name = nc.RemoteAddr().String()
-	}
-	rw := &remoteWorker{name: name, nc: nc, conn: conn, ping: ping,
-		frames: make(chan Frame, 4), dead: make(chan struct{})}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		nc.Close()
-		return
-	}
-	// Names index the registry; a re-registering name displaces nothing
-	// (the old connection's loop still owns its entry until it dies), so
-	// disambiguate. The wg.Add happens under the same lock as the closed
-	// check, so Close either waits for this loop or this registration
-	// observes closed — never a loop Close doesn't know about.
-	for d.remotes[name] != nil {
-		name += "+"
-	}
-	rw.name = name
-	d.remotes[name] = rw
-	d.wg.Add(1)
-	d.slots.Add(1)
 	d.mu.Unlock()
-	d.logf("remote worker %s joined (ping %s)", rw.name, rw.ping)
-	go func() {
-		defer d.wg.Done()
-		defer func() {
-			d.slots.Add(-1)
-			d.mu.Lock()
-			delete(d.remotes, rw.name)
-			d.mu.Unlock()
-			nc.Close()
-			d.logf("remote worker %s left: %v", rw.name, rw.err.Load())
-		}()
-		go rw.readLoop()
-		d.remoteLoop(rw)
-	}()
-}
-
-// readLoop pulls frames off the remote connection under a heartbeat
-// deadline: each frame (pings included) refreshes the deadline, and a
-// deadline expiry — pingMissFactor missed heartbeats — declares the
-// machine dead. Pings are drained here so an idle worker's heartbeats
-// never back up the socket.
-func (rw *remoteWorker) readLoop() {
-	defer close(rw.dead)
-	for {
-		rw.nc.SetReadDeadline(time.Now().Add(pingMissFactor * rw.ping))
-		f, err := rw.conn.Read()
-		if err != nil {
-			rw.err.Store(fmt.Sprintf("connection lost: %v", err))
-			return
-		}
-		if f.Type == FramePing {
-			continue
-		}
-		select {
-		case rw.frames <- f:
-		case <-time.After(pingMissFactor * rw.ping):
-			rw.err.Store("protocol desync: unconsumed frame")
-			return
-		}
+	if err != nil {
+		conn.Write(Frame{Type: FrameError, Error: err.Error()})
+		return nil, err
 	}
+	if conn.Write(Frame{Type: FrameWelcome, Welcome: &Welcome{Epoch: epoch}}) != nil {
+		nc.Close() // the member's loop finds the connection dead
+	}
+	return m, nil
 }
 
-// remoteLoop drains the shared dispatch queue onto one remote worker.
-// A machine that vanishes mid-cell costs exactly that cell (reported
-// broken, like a local crash) and the loop exits — queued cells are
-// picked up by the rest of the pool.
-func (d *Daemon) remoteLoop(rw *remoteWorker) {
+// serveMember drains the shared dispatch queue onto one member until it
+// is lost or the daemon closes. A member lost mid-cell costs exactly that
+// cell, reported broken; the rest of the pool drains the queue.
+func (d *Daemon) serveMember(m *member) {
+	defer d.wg.Done()
+	go m.readLoop()
+	defer func() {
+		d.mu.Lock()
+		delete(d.members, m.id)
+		d.mu.Unlock()
+		m.nc.Close()
+		<-m.dead
+		d.logf("worker %s left: %v", m.name, m.err)
+	}()
 	for {
 		select {
 		case <-d.quit:
 			return
-		case <-rw.dead:
+		case <-m.dead:
 			return
 		case t := <-d.queue:
-			res, err := d.runOnRemote(rw, t.job)
+			res, err := m.run(t.job)
 			if err != nil {
-				d.logf("remote worker %s lost on %s: %v", rw.name, t.job.Cell, err)
-				t.done <- brokenResult(-1, t.job, "remote worker lost: "+err.Error())
+				d.logf("worker %s lost on %s: %v", m.name, t.job.Cell, err)
+				t.done <- brokenResult(m.id, t.job, "worker lost: "+err.Error())
 				return
 			}
 			t.done <- res
@@ -460,26 +420,53 @@ func (d *Daemon) remoteLoop(rw *remoteWorker) {
 	}
 }
 
-// runOnRemote sends one job to a remote worker and waits for its result
-// frame, bounded by the heartbeat deadline the read loop enforces.
-func (d *Daemon) runOnRemote(rw *remoteWorker, job *Job) (*Result, error) {
-	if err := rw.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
+// readLoop pulls frames off the member's connection under a heartbeat
+// deadline: each frame (pings included) refreshes the deadline, and a
+// deadline expiry — pingMissFactor missed heartbeats — declares the
+// worker lost. Pings are drained here so an idle worker's heartbeats
+// never back up the socket.
+func (m *member) readLoop() {
+	defer close(m.dead)
+	for {
+		m.nc.SetReadDeadline(time.Now().Add(pingMissFactor * m.ping))
+		f, err := m.conn.Read()
+		if err != nil {
+			m.err = fmt.Errorf("connection lost: %w", err)
+			return
+		}
+		if f.Type == FramePing {
+			continue
+		}
+		select {
+		case m.frames <- f:
+		case <-time.After(pingMissFactor * m.ping):
+			m.err = fmt.Errorf("protocol desync: unconsumed frame")
+			return
+		}
+	}
+}
+
+// run sends one job to the member and waits for its result, bounded by
+// the heartbeat deadline the read loop enforces. A result for another
+// (request, cell) pair is an error too: with concurrent requests sharing
+// the pool, it must never be routed to the wrong request.
+func (m *member) run(job *Job) (*Result, error) {
+	if err := m.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
 		return nil, err
 	}
 	select {
-	case <-rw.dead:
-		if s, ok := rw.err.Load().(string); ok {
-			return nil, fmt.Errorf("%s", s)
+	case <-m.dead:
+		return nil, m.err
+	case f := <-m.frames:
+		if f.Type != FrameResult || f.Result == nil {
+			return nil, fmt.Errorf("shard: worker sent %q, want result", f.Type)
 		}
-		return nil, fmt.Errorf("remote worker died")
-	case f := <-rw.frames:
-		res, err := checkResult(f, job)
-		if err != nil {
-			rw.err.Store(err.Error())
-			rw.nc.Close() // poison the connection: the stream is desynced
-			return nil, err
+		if f.Result.Req != job.Req || f.Result.ID != job.ID {
+			return nil, fmt.Errorf("shard: worker answered req %d cell %d, want req %d cell %d",
+				f.Result.Req, f.Result.ID, job.Req, job.ID)
 		}
-		return res, nil
+		f.Result.Worker = m.id
+		return f.Result, nil
 	}
 }
 
@@ -487,8 +474,11 @@ func (d *Daemon) runOnRemote(rw *remoteWorker, job *Job) (*Result, error) {
 // over one connection until EOF. Payload checksums are verified on
 // receipt and stamped on replies, so a transport bit-flip degrades to a
 // miss on the far side, never a wrong artifact.
-func (d *Daemon) handleStoreConn(nc net.Conn, conn *Conn, h *Hello) {
-	if err := d.handshake(conn, h); err != nil {
+func (d *Daemon) handleStoreConn(nc net.Conn, conn *Conn) {
+	d.mu.Lock()
+	epoch := d.helloEpoch
+	d.mu.Unlock()
+	if conn.Write(Frame{Type: FrameWelcome, Welcome: &Welcome{Epoch: epoch}}) != nil {
 		return
 	}
 	d.logf("store channel open for %s", nc.RemoteAddr())
@@ -683,7 +673,7 @@ func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err e
 		return nil, nil, nil, err
 	}
 	plan = &Plan{
-		Label: req.Label, Epoch: label.Epoch(), Workers: int(d.slots.Load()),
+		Label: req.Label, Epoch: label.Epoch(), Workers: d.PoolSize(),
 		Cells: make([]CellID, len(cells)),
 	}
 	keys = make([]string, len(cells))
@@ -698,35 +688,6 @@ func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err e
 		plan.Dispatch = d.History.Order(keys, kindNames)
 	}
 	return plan, keys, kindNames, nil
-}
-
-// runOn sends one job to a local worker and waits for its result. Any
-// transport error — including the worker dying mid-cell — is returned
-// for the caller to translate into a broken cell.
-func runOn(w *workerProc, job *Job) (*Result, error) {
-	if err := w.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
-		return nil, err
-	}
-	f, err := w.conn.Read()
-	if err != nil {
-		return nil, err
-	}
-	return checkResult(f, job)
-}
-
-// checkResult validates that a frame is the result for exactly the job
-// in flight: with concurrent requests sharing the pool, a worker that
-// echoes the wrong (request, cell) pair has desynced its stream and
-// must be treated as crashed, never routed to the wrong request.
-func checkResult(f Frame, job *Job) (*Result, error) {
-	if f.Type != FrameResult || f.Result == nil {
-		return nil, fmt.Errorf("shard: worker sent %q, want result", f.Type)
-	}
-	if f.Result.Req != job.Req || f.Result.ID != job.ID {
-		return nil, fmt.Errorf("shard: worker answered req %d cell %d, want req %d cell %d",
-			f.Result.Req, f.Result.ID, job.Req, job.ID)
-	}
-	return f.Result, nil
 }
 
 // brokenResult manufactures the deterministic outcome for a cell whose

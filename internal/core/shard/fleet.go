@@ -25,23 +25,11 @@ type ConnectOptions struct {
 	Wait time.Duration
 }
 
-// ConnectWorker dials a remote daemon, registers this process as a pool
-// worker with a FrameHello handshake — the worker's frozen probe epoch
-// is cross-checked at the door, so content drift fails at registration
-// rather than per job — and then serves jobs off the connection until
-// the daemon closes it. Heartbeat pings flow from a side goroutine even
-// while a cell is running, so the daemon can tell a long-running cell
-// from a vanished machine. Returns nil when the daemon hangs up
-// cleanly.
+// ConnectWorker dials a remote daemon and serves its pool as one worker
+// slot over TCP, exactly as RunWorker serves a local one: the hello
+// handshake, heartbeats, then jobs until the daemon hangs up. Returns
+// nil when the daemon hangs up cleanly.
 func ConnectWorker(addr string, opts ConnectOptions) error {
-	wk, err := newWorker(opts.WorkerOptions)
-	if err != nil {
-		return err
-	}
-	label, err := wk.freeze(HelloLabel)
-	if err != nil {
-		return fmt.Errorf("shard: freeze probe label: %w", err)
-	}
 	ping := opts.Ping
 	if ping <= 0 {
 		ping = DefaultPing
@@ -55,29 +43,7 @@ func ConnectWorker(addr string, opts ConnectOptions) error {
 		return err
 	}
 	defer nc.Close()
-	conn := NewConn(nc, nc)
-	if err := handshakeHello(conn, &Hello{
-		Role: RoleWorker, Name: opts.Name, Epoch: label.Epoch(), PingNs: int64(ping),
-	}); err != nil {
-		return err
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		t := time.NewTicker(ping)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if conn.Write(Frame{Type: FramePing}) != nil {
-					return
-				}
-			}
-		}
-	}()
-	return wk.serve(conn)
+	return work(NewConn(nc, nc), opts.WorkerOptions, opts.Name, ping)
 }
 
 // handshakeHello sends a hello and consumes the daemon's answer: a

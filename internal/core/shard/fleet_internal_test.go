@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// newTestRemote wires a remoteWorker around one end of a net.Pipe and
+// newTestMember wires a pool member around one end of a net.Pipe and
 // returns the far end for the test to script.
-func newTestRemote(name string, ping time.Duration) (*remoteWorker, net.Conn) {
+func newTestMember(name string, ping time.Duration) (*member, net.Conn) {
 	server, client := net.Pipe()
-	rw := &remoteWorker{name: name, nc: server, conn: NewConn(server, server),
-		ping: ping, frames: make(chan Frame, 4), dead: make(chan struct{})}
-	return rw, client
+	m := &member{name: name, nc: server, conn: NewConn(server, server),
+		ping: ping, frames: make(chan Frame, 1), dead: make(chan struct{})}
+	return m, client
 }
 
 // TestRemoteDeadlineBreaksInFlightCell: a machine that takes a job and
@@ -25,12 +25,12 @@ func TestRemoteDeadlineBreaksInFlightCell(t *testing.T) {
 	d := &Daemon{Logf: t.Logf}
 	d.queue = make(chan *task)
 	d.quit = make(chan struct{})
-	rw, far := newTestRemote("silent", 20*time.Millisecond)
+	m, far := newTestMember("silent", 20*time.Millisecond)
 	defer far.Close()
-	go rw.readLoop()
+	d.wg.Add(1)
 	loopDone := make(chan struct{})
 	go func() {
-		d.remoteLoop(rw)
+		d.serveMember(m)
 		close(loopDone)
 	}()
 	// The far side reads its job and then goes silent forever.
@@ -43,8 +43,8 @@ func TestRemoteDeadlineBreaksInFlightCell(t *testing.T) {
 		if res.ID != 7 || res.Req != 3 {
 			t.Fatalf("broken result routed to wrong cell: %+v", res)
 		}
-		if !strings.Contains(res.Outcome.BuildErr, "remote worker lost") {
-			t.Fatalf("outcome = %q, want a remote-worker-lost breakage", res.Outcome.BuildErr)
+		if !strings.Contains(res.Outcome.BuildErr, "worker lost") {
+			t.Fatalf("outcome = %q, want a worker-lost breakage", res.Outcome.BuildErr)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cell never broke: heartbeat deadline did not fire")
@@ -63,10 +63,10 @@ func TestRemoteHeartbeatKeepsLongCellAlive(t *testing.T) {
 	d := &Daemon{Logf: t.Logf}
 	d.queue = make(chan *task)
 	d.quit = make(chan struct{})
-	rw, far := newTestRemote("slow", 20*time.Millisecond)
+	m, far := newTestMember("slow", 20*time.Millisecond)
 	defer far.Close()
-	go rw.readLoop()
-	go d.remoteLoop(rw)
+	d.wg.Add(1)
+	go d.serveMember(m)
 	// Far side: consume the job, ping for several full deadline windows,
 	// then answer.
 	go func() {
@@ -98,6 +98,7 @@ func TestRemoteHeartbeatKeepsLongCellAlive(t *testing.T) {
 		t.Fatal("result never arrived")
 	}
 	close(d.quit)
+	d.wg.Wait()
 }
 
 // TestRemoteMisroutedResultPoisonsWorker: a worker that echoes the
@@ -107,10 +108,10 @@ func TestRemoteMisroutedResultPoisonsWorker(t *testing.T) {
 	d := &Daemon{Logf: t.Logf}
 	d.queue = make(chan *task)
 	d.quit = make(chan struct{})
-	rw, far := newTestRemote("desynced", 50*time.Millisecond)
+	m, far := newTestMember("desynced", 50*time.Millisecond)
 	defer far.Close()
-	go rw.readLoop()
-	go d.remoteLoop(rw)
+	d.wg.Add(1)
+	go d.serveMember(m)
 	go func() {
 		fc := NewConn(far, far)
 		if f, err := fc.Read(); err == nil && f.Type == FrameJob {
@@ -124,12 +125,13 @@ func TestRemoteMisroutedResultPoisonsWorker(t *testing.T) {
 	d.queue <- &task{job: &Job{ID: 4, Req: 8, Cell: CellID{Module: "M", Test: "T"}}, done: results}
 	select {
 	case res := <-results:
-		if !strings.Contains(res.Outcome.BuildErr, "remote worker lost") {
+		if !strings.Contains(res.Outcome.BuildErr, "worker lost") {
 			t.Fatalf("misrouted result was not treated as a lost worker: %+v", res.Outcome)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cell never broke on the desynced stream")
 	}
+	d.wg.Wait()
 }
 
 // memBackend is an in-memory Backend for store-channel tests.

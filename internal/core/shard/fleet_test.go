@@ -133,8 +133,8 @@ func TestFleetMatchesSerial(t *testing.T) {
 		go func(i int, rs *shard.RemoteStore) {
 			err := shard.ConnectWorker(addr, shard.ConnectOptions{
 				WorkerOptions: shard.WorkerOptions{
-					ID: i, NewSystem: content.PortedSystem,
-					Store: &shard.FetchThrough{Remote: rs},
+					NewSystem: content.PortedSystem,
+					Store:     &shard.FetchThrough{Remote: rs},
 				},
 				Name: fmt.Sprintf("machine2/%d", i),
 				Ping: 50 * time.Millisecond,
@@ -185,6 +185,39 @@ func TestFleetMatchesSerial(t *testing.T) {
 	// back over the store channel).
 	if st := store.Stats(); st.Puts == 0 {
 		t.Errorf("remote workers never filled the daemon store: %+v", st)
+	}
+}
+
+// TestWorkerIDsArePoolUnique: in the benchmark's fleet shape — one
+// local slot plus one -connect slot configured as advm-served configures
+// it, numbering its own slots from 0 — results from the two slots carry
+// two distinct worker IDs, because the daemon assigns them.
+func TestWorkerIDsArePoolUnique(t *testing.T) {
+	addr, d := startFleetDaemon(t, 1, nil)
+	rs, err := shard.DialStore(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	go shard.ConnectWorker(addr, shard.ConnectOptions{
+		WorkerOptions: shard.WorkerOptions{
+			NewSystem: content.PortedSystem, Store: &shard.FetchThrough{Remote: rs},
+		},
+		Name: "machine/0",
+	})
+	waitPool(t, d, 2)
+	seen := map[int]bool{}
+	// A request's cells need not reach both slots; a few requests will.
+	for attempt := 0; attempt < 5 && len(seen) < 2; attempt++ {
+		if _, err := shard.Regress(addr, shard.Request{
+			Label: "worker-ids", Modules: []string{"UART"},
+			Platforms: []string{"golden", "emulator"}, SkipVet: true,
+		}, func(r *shard.Result) { seen[r.Worker] = true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 2 {
+		t.Fatalf("two slots reported workers %v, want two distinct IDs", seen)
 	}
 }
 
@@ -365,6 +398,42 @@ func TestMissingResultRejected(t *testing.T) {
 	_, err := shard.Regress(addr, shard.Request{Label: "missing"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "done after 1 of 2") {
 		t.Fatalf("err = %v, want an incomplete-stream rejection", err)
+	}
+}
+
+// TestDoneWithoutCountsRejected: a done frame that lacks its payload
+// must fail the stream, not crash the client.
+func TestDoneWithoutCountsRejected(t *testing.T) {
+	addr := fakeDaemon(t, func(conn *shard.Conn, req *shard.Request) {
+		conn.Write(shard.Frame{Type: shard.FramePlan, Plan: twoCellPlan(req.Label)})
+		conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(0, "T1")})
+		conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(1, "T2")})
+		conn.Write(shard.Frame{Type: shard.FrameDone})
+	})
+	_, err := shard.Regress(addr, shard.Request{Label: "nil-done"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "done frame") {
+		t.Fatalf("err = %v, want a missing-counts rejection", err)
+	}
+}
+
+// TestBadDispatchRejected: a plan whose dispatch order is not a
+// permutation of its cell indices must fail the stream — an index out of
+// range would crash the merge, and a repeated or missing one would merge
+// a journal with a cell twice or not at all.
+func TestBadDispatchRejected(t *testing.T) {
+	for _, dispatch := range [][]int{{0, 2}, {-1, 0}, {1, 1}, {0}} {
+		plan := twoCellPlan("bad-dispatch")
+		plan.Dispatch = dispatch
+		addr := fakeDaemon(t, func(conn *shard.Conn, req *shard.Request) {
+			conn.Write(shard.Frame{Type: shard.FramePlan, Plan: plan})
+			conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(0, "T1")})
+			conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(1, "T2")})
+			conn.Write(shard.Frame{Type: shard.FrameDone, Done: &shard.Done{Passed: 2}})
+		})
+		_, err := shard.Regress(addr, shard.Request{Label: "bad-dispatch"}, nil)
+		if err == nil || !strings.Contains(err.Error(), "permutation") {
+			t.Errorf("dispatch %v: err = %v, want a permutation rejection", dispatch, err)
+		}
 	}
 }
 

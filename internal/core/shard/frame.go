@@ -5,32 +5,32 @@
 // in-process pool produces.
 //
 // The protocol is JSONL frames over any byte stream — a unix or TCP
-// socket between client and daemon, stdin/stdout pipes between daemon
-// and workers. One frame type per line, tagged by "type":
+// socket between client and daemon, a TCP socket between the daemon and
+// a remote worker, and a socket pair (the worker's stdin and stdout)
+// between the daemon and a local worker process. One frame type per
+// line, tagged by "type":
 //
 //	client → daemon:  request
 //	daemon → client:  plan, result*, done   (or error)
-//	daemon → worker:  job*
-//	worker → daemon:  result*
+//	worker → daemon:  hello{role,epoch,ping}, then ping* interleaved with result*
+//	daemon → worker:  welcome{epoch} (or error, and close), then job*
 //
-// Fleet extensions (the multi-machine phase): a remote process opens a
-// TCP connection and registers with a hello frame — role "worker" joins
-// the daemon's dispatch pool, role "store" opens a fetch-through
+// Every worker, local process or remote machine, registers the same way:
+// its hello carries the epoch of a frozen probe label, checked at the
+// door, and its pings let the daemon tell a long-running cell from a
+// lost worker. A hello with role "store" instead opens a fetch-through
 // channel to the daemon's persistent artifact store:
 //
-//	remote → daemon:  hello{role,epoch,ping}
-//	daemon → remote:  welcome{epoch}          (or error, and close)
-//	worker → daemon:  ping* interleaved with result*
-//	store:            store-get/store-put in, store-data out
+//	store:            hello{role}, welcome, then store-get/store-put in, store-data out
 //
 // Every job carries the frozen-spec epoch — the content hash of the
 // module environments the daemon froze — and the worker refuses a job
 // whose epoch its own frozen system does not reproduce: two processes
 // that disagree about the source content must fail loudly, not compare
 // incomparable runs. Per-cell isolation falls out of the process
-// boundary: a crashed worker costs its in-flight cell (reported broken,
-// like a panicking platform in the in-process pool) and the daemon
-// respawns the worker for the rest of the queue.
+// boundary: a crashed, wedged or vanished worker costs its in-flight cell
+// (reported broken, like a panicking platform in the in-process pool),
+// and the daemon respawns a local worker for the rest of the queue.
 package shard
 
 import (
@@ -54,9 +54,9 @@ const (
 	FrameResult  = "result"
 	FrameDone    = "done"
 	FrameError   = "error"
-	// Fleet frames: a remote process introduces itself with a hello
-	// (role + frozen probe epoch), the daemon answers with a welcome,
-	// and the remote side pings periodically so a vanished machine is
+	// Registration frames: a worker or store connection introduces
+	// itself with a hello (role + frozen probe epoch), the daemon answers
+	// with a welcome, and a worker pings periodically so a lost worker is
 	// distinguishable from a long-running cell.
 	FrameHello   = "hello"
 	FrameWelcome = "welcome"
@@ -101,13 +101,13 @@ type Frame struct {
 	Store   *StoreFrame `json:"store,omitempty"`
 }
 
-// Hello registers a remote connection with the daemon. Epoch is the
-// sender's frozen probe epoch under HelloLabel; the daemon refuses a
+// Hello registers a worker or store connection with the daemon. Epoch is
+// the sender's frozen probe epoch under HelloLabel; the daemon refuses a
 // worker whose content disagrees with its own at the door, instead of
 // per-job after cells have been planned onto it.
 type Hello struct {
 	Role string `json:"role"`
-	// Name identifies the remote machine/slot in daemon logs.
+	// Name identifies the worker in daemon logs.
 	Name  string `json:"name,omitempty"`
 	Epoch string `json:"epoch,omitempty"`
 	// PingNs is the heartbeat interval the worker commits to. The
@@ -270,7 +270,9 @@ func (o Outcome) ToRegress() (regress.Outcome, error) {
 type Result struct {
 	ID int `json:"id"`
 	// Req echoes the job's request ID (see Job.Req).
-	Req     uint64           `json:"req,omitempty"`
+	Req uint64 `json:"req,omitempty"`
+	// Worker is the pool-unique ID the daemon assigned the worker that
+	// ran the cell (-1 for a cell no worker ran).
 	Worker  int              `json:"worker"`
 	Outcome Outcome          `json:"outcome"`
 	Records []journal.Record `json:"records,omitempty"`

@@ -10,7 +10,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core/castore"
 	"repro/internal/core/content"
@@ -37,16 +39,32 @@ func TestShardWorkerProcess(t *testing.T) {
 		t.Skip("worker helper process")
 	}
 	// Crash injection: if the flag file exists, delete it and die hard
-	// mid-protocol — the daemon must break the in-flight cell and
-	// respawn. The delete makes the replacement worker healthy.
+	// mid-protocol, on the first job — the daemon must break the
+	// in-flight cell and respawn. The delete makes the replacement worker
+	// healthy. A flag file that says "stop" wedges the worker instead: it
+	// SIGSTOPs itself on the first job, leaving its pid in the file.
+	var fault func()
 	if flag := os.Getenv("SHARD_WORKER_CRASH_FLAG"); flag != "" {
-		if _, err := os.Stat(flag); err == nil {
+		switch data, err := os.ReadFile(flag); {
+		case err == nil && string(data) == "stop":
+			os.WriteFile(flag, []byte(strconv.Itoa(os.Getpid())), 0o644)
+			fault = func() { syscall.Kill(os.Getpid(), syscall.SIGSTOP) }
+		case err == nil && len(data) == 0:
 			os.Remove(flag)
-			os.Exit(3)
+			fault = func() { os.Exit(3) }
 		}
 	}
-	id, _ := strconv.Atoi(os.Getenv("SHARD_WORKER_ID"))
-	opts := shard.WorkerOptions{ID: id, NewSystem: content.PortedSystem}
+	in := io.Reader(os.Stdin)
+	if fault != nil {
+		in = readerFunc(func(p []byte) (int, error) {
+			n, err := os.Stdin.Read(p)
+			if bytes.Contains(p[:n], []byte(`"type":"job"`)) {
+				fault()
+			}
+			return n, err
+		})
+	}
+	opts := shard.WorkerOptions{NewSystem: content.PortedSystem}
 	if dir := os.Getenv("SHARD_WORKER_STORE"); dir != "" {
 		store, err := castore.Open(dir, castore.Options{})
 		if err != nil {
@@ -56,20 +74,23 @@ func TestShardWorkerProcess(t *testing.T) {
 		defer store.Close()
 		opts.Store = store
 	}
-	if err := shard.RunWorker(os.Stdin, os.Stdout, opts); err != nil {
+	if err := shard.RunWorker(in, os.Stdout, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
 }
 
+// readerFunc adapts a function to io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
 // testWorkerCommand re-executes this test binary as a pool worker
 // process (TestShardWorkerProcess), with extra env for fault injection.
-func testWorkerCommand(env ...string) func(id int) *exec.Cmd {
-	return func(id int) *exec.Cmd {
+func testWorkerCommand(env ...string) func(int) *exec.Cmd {
+	return func(int) *exec.Cmd {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestShardWorkerProcess$")
-		cmd.Env = append(os.Environ(),
-			"SHARD_WORKER_HELPER=1",
-			"SHARD_WORKER_ID="+strconv.Itoa(id))
+		cmd.Env = append(os.Environ(), "SHARD_WORKER_HELPER=1")
 		cmd.Env = append(cmd.Env, env...)
 		cmd.Stderr = os.Stderr
 		return cmd
@@ -305,5 +326,60 @@ func TestWorkerCrashIsolation(t *testing.T) {
 	}
 	if reply.Done.Broken != 1 || reply.Done.Passed != 2 {
 		t.Fatalf("done counts = %+v", reply.Done)
+	}
+}
+
+// TestWedgedWorkerCostsOneCell: a local worker that stops mid-cell
+// without dying (it SIGSTOPs itself on its first job) must cost that one
+// cell once its heartbeats stop — not its slot, the request, or Close.
+func TestWedgedWorkerCostsOneCell(t *testing.T) {
+	flag := filepath.Join(t.TempDir(), "wedge")
+	if err := os.WriteFile(flag, []byte("stop"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addr, d := startFleetDaemon(t, 1, func(d *shard.Daemon) {
+		d.WorkerCommand = testWorkerCommand("SHARD_WORKER_CRASH_FLAG=" + flag)
+	})
+	t.Cleanup(func() {
+		// Killing the stopped worker is the daemon's job; one it missed
+		// is killed here, so no wait of the daemon's stays blocked on it.
+		data, _ := os.ReadFile(flag)
+		stat, err := os.ReadFile("/proc/" + string(data) + "/stat")
+		if pid, _ := strconv.Atoi(string(data)); err == nil && pid > 0 && bytes.Contains(stat, []byte(") T ")) {
+			syscall.Kill(pid, syscall.SIGKILL)
+		}
+	})
+	type res struct {
+		reply *shard.Reply
+		err   error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		reply, err := shard.Regress(addr, shard.Request{
+			Label: "wedge", Modules: []string{"SECURITY"}, Derivs: []string{"SC88-A"},
+			Platforms: []string{"golden"}, SkipVet: true,
+		}, nil)
+		ch <- res{reply, err}
+	}()
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.reply.Done.Broken != 1 || r.reply.Done.Passed != 2 {
+			t.Fatalf("done counts = %+v, want 1 broken and 2 passed", r.reply.Done)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("request hung on the wedged worker")
+	}
+	closed := make(chan struct{})
+	go func() {
+		d.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung on the wedged worker")
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/core/buildcache"
 	"repro/internal/core/derivative"
@@ -18,9 +19,6 @@ import (
 // WorkerOptions configures one worker (a local pool subprocess or a
 // remote TCP slot).
 type WorkerOptions struct {
-	// ID is the worker's index in the daemon's pool; stamped into every
-	// Result so the client can merge journal streams by (worker, seq).
-	ID int
 	// NewSystem constructs the worker's module environments from
 	// content. Every worker (and the daemon) builds from the same
 	// content source; the epoch check on each job proves it.
@@ -37,7 +35,6 @@ type WorkerOptions struct {
 // frozen label per requested release name, caches that live for the
 // process and optionally spill to the shared store.
 type worker struct {
-	opts   WorkerOptions
 	sys    *sysenv.System
 	labels map[string]*release.SystemLabel
 	bc     *buildcache.Cache
@@ -51,7 +48,6 @@ func newWorker(opts WorkerOptions) (*worker, error) {
 		return nil, fmt.Errorf("shard: worker needs a NewSystem constructor")
 	}
 	wk := &worker{
-		opts:   opts,
 		sys:    opts.NewSystem(),
 		labels: make(map[string]*release.SystemLabel),
 		bc:     buildcache.New(),
@@ -64,22 +60,55 @@ func newWorker(opts WorkerOptions) (*worker, error) {
 	return wk, nil
 }
 
-// RunWorker serves the worker side of the protocol: read jobs from r,
-// run each cell through the full in-process pipeline, write results to
-// w. Returns nil on a clean EOF (daemon closed the pipe). Cell-level
-// failures — epoch drift, unknown derivative, build errors — are
-// reported in-band as broken outcomes; only protocol failures return an
-// error.
+// RunWorker serves the worker side of the protocol on r and w — a local
+// worker process's stdin and stdout, its daemon's socket pair — exactly
+// as ConnectWorker does over TCP. Returns nil on a clean EOF.
 func RunWorker(r io.Reader, w io.Writer, opts WorkerOptions) error {
+	return work(NewConn(r, w), opts, "", DefaultPing)
+}
+
+// work is the worker loop behind RunWorker and ConnectWorker. Its hello
+// carries the frozen probe epoch, so content drift fails at registration
+// rather than per job; heartbeats flow from a side goroutine even while a
+// cell runs, so the daemon can tell a long cell from a lost worker.
+// Cell-level failures — epoch drift, unknown derivative, build errors —
+// are reported in-band as broken outcomes; only protocol failures return
+// an error.
+func work(conn *Conn, opts WorkerOptions, name string, ping time.Duration) error {
 	wk, err := newWorker(opts)
 	if err != nil {
 		return err
 	}
-	return wk.serve(NewConn(r, w))
+	probe, err := release.Freeze(HelloLabel, wk.sys)
+	if err != nil {
+		return fmt.Errorf("shard: freeze probe label: %w", err)
+	}
+	if err := handshakeHello(conn, &Hello{
+		Role: RoleWorker, Name: name, Epoch: probe.Epoch(), PingNs: int64(ping),
+	}); err != nil {
+		return err
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		t := time.NewTicker(ping)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				if conn.Write(Frame{Type: FramePing}) != nil {
+					return
+				}
+			}
+		}
+	}()
+	return wk.serve(conn)
 }
 
-// serve is the job loop shared by pipe-mode and TCP-mode workers. Ping
-// frames (a daemon probing liveness) are tolerated and ignored.
+// serve is the job loop. Ping frames (a daemon probing liveness) are
+// tolerated and ignored.
 func (wk *worker) serve(conn *Conn) error {
 	for {
 		f, err := conn.Read()
@@ -121,7 +150,7 @@ func (wk *worker) freeze(name string) (*release.SystemLabel, error) {
 // for the whole request) — so enumeration, caching, journal emission,
 // and outcome semantics cannot drift from the in-process path.
 func (wk *worker) run(job *Job) *Result {
-	res := &Result{ID: job.ID, Req: job.Req, Worker: wk.opts.ID}
+	res := &Result{ID: job.ID, Req: job.Req}
 	broken := func(msg string) *Result {
 		res.Outcome = Outcome{
 			Module: job.Cell.Module, Test: job.Cell.Test,
