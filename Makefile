@@ -1,7 +1,8 @@
 # ADVM reproduction — build/test entry points.
 #
 #   make           tier-1: build + test everything
-#   make lint      go vet + advm-vet static analysis of the shipped suite
+#   make lint      gofmt check + go vet + advm-vet static analysis of the
+#                  shipped suite
 #   make race      vet + full test suite under the race detector
 #   make fuzz      short-budget fuzz smoke (assembler lexer, CFG decoder,
 #                  call-graph/stack-depth analysis, shard frame stream)
@@ -23,6 +24,7 @@
 #                  loopback, bundles cmp-identical to a direct run
 #   make report    flight-recorder demo: journal + history a small matrix
 #                  twice, render text + HTML + trend reports via advm-report
+#   make examples  run every program under examples/ to completion
 #
 #   REPORT_DIR ?= .advm-report   scratch dir for `make report` artifacts
 #   SERVED_DIR ?= .advm-served   scratch dir for `make smoke-served`
@@ -36,7 +38,7 @@ SERVED_DIR ?= .advm-served
 FLEET_DIR ?= .advm-fleet
 FLEET_PORT ?= 17977
 
-.PHONY: all tier1 vet lint race fuzz bench cache bench-json bench-smoke smoke smoke-served smoke-fleet report tools
+.PHONY: all tier1 vet lint race fuzz bench cache bench-json bench-smoke smoke smoke-served smoke-fleet report examples tools
 
 all: tier1
 
@@ -46,10 +48,12 @@ tier1:
 vet:
 	$(GO) vet ./...
 
-# Static analysis of the shipped test suite itself: layer discipline,
-# CFG checks, portability, dead abstraction. Non-zero exit on any
-# error-severity finding.
+# Formatting, then static analysis of the shipped test suite itself:
+# layer discipline, CFG checks, portability, dead abstraction. Non-zero
+# exit on any file gofmt would change or any error-severity finding.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/advm-lint
 
 # Short-budget fuzz smoke: the assembler lexer, the vet CFG decoder, the
@@ -163,6 +167,11 @@ report:
 	$(GO) run ./cmd/advm-report -prev $(REPORT_DIR)/run1.jsonl \
 		-history $(REPORT_DIR)/history -html $(REPORT_DIR)/report.html \
 		$(REPORT_DIR)/run2.jsonl
+
+# Every example program, run to completion: each walks one workflow end
+# to end through the public advm facade and exits non-zero if it breaks.
+examples:
+	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

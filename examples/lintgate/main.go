@@ -16,6 +16,7 @@ import (
 // violating hardwires an NVM controller register address — exactly the
 // practice the paper's Figure 2 prohibits.
 const violating = `;; reads PAGESEL through a raw address
+; REQ: REQ-NVM-001
 .INCLUDE "Globals.inc"
 test_main:
     LOAD d2, [0x80002014]
@@ -25,6 +26,7 @@ test_main:
 // suppressed is the same test after review: the annotation names the
 // check it waives, on the one line it waives it.
 const suppressed = `;; reads PAGESEL through a raw address (reviewed exception)
+; REQ: REQ-NVM-001
 .INCLUDE "Globals.inc"
 test_main:
     LOAD d2, [0x80002014] ; lint:disable layer/raw-address

@@ -31,21 +31,38 @@ func init() {
 	})
 }
 
-// Chip is a bondout device.
+// Chip is a bondout device. Its debug units, the breakpoint comparators
+// and the watchpoint ranges, belong to the chip and stay armed across
+// Loads; each Load arms them on the new SoC it builds.
 type Chip struct {
-	core   *golden.Core
-	name   string
-	breaks []uint32
-	// WatchHits records watchpoint-unit hits (addr, value pairs).
+	cfg soc.HWConfig
+	// core is built by each Load, or on first use before any Load.
+	core    *golden.Core
+	name    string
+	breaks  []uint32
+	watches []mem.Watchpoint
+	// WatchHits records watchpoint-unit hits (addr, value pairs) since
+	// the last Load.
 	WatchHits []uint32
 }
 
 // New creates a bondout platform.
 func New(cfg soc.HWConfig) *Chip {
-	c := &Chip{core: golden.NewCore(soc.New(cfg)), name: "bondout/" + cfg.Name}
-	c.core.DebugStops = true
-	c.core.Fidelity = traceFidelity
-	return c
+	return &Chip{cfg: cfg, name: "bondout/" + cfg.Name}
+}
+
+// chip returns the current core, building a new one with the debug units
+// armed if there is none.
+func (c *Chip) chip() *golden.Core {
+	if c.core == nil {
+		c.core = golden.NewCore(soc.New(c.cfg))
+		c.core.DebugStops = true
+		c.core.Fidelity = traceFidelity
+		for _, w := range c.watches {
+			c.core.S.Mem.AddWatchpoint(w)
+		}
+	}
+	return c.core
 }
 
 // Name implements platform.Platform.
@@ -66,7 +83,7 @@ func (c *Chip) Caps() platform.Caps {
 }
 
 // SoC implements platform.Platform.
-func (c *Chip) SoC() *soc.SoC { return c.core.S }
+func (c *Chip) SoC() *soc.SoC { return c.chip().S }
 
 // AddBreakpoint arms a hardware breakpoint at a code address. Adding more
 // than the unit supports silently replaces the oldest, as real debug
@@ -80,31 +97,34 @@ func (c *Chip) AddBreakpoint(addr uint32) {
 
 // AddWatchpoint arms the watchpoint unit on a data-address range.
 func (c *Chip) AddWatchpoint(lo, hi uint32) {
-	c.core.S.Mem.AddWatchpoint(mem.Watchpoint{
+	w := mem.Watchpoint{
 		Lo: lo, Hi: hi, Kind: mem.AccessWrite,
 		Hit: func(addr uint32, _ mem.Access, v uint32) {
 			c.WatchHits = append(c.WatchHits, addr, v)
 		},
-	})
+	}
+	c.watches = append(c.watches, w)
+	if c.core != nil {
+		c.core.S.Mem.AddWatchpoint(w)
+	}
 }
 
-// Load implements platform.Platform.
+// Load implements platform.Platform. Every load starts from a new chip.
 func (c *Chip) Load(img *obj.Image) error {
-	c.core = golden.NewCore(soc.New(c.core.S.Cfg))
-	c.core.DebugStops = true
-	c.core.Fidelity = traceFidelity
+	c.core = nil
 	c.WatchHits = nil
-	return c.core.LoadImage(img)
+	return c.chip().LoadImage(img)
 }
 
 // Run implements platform.Platform.
 func (c *Chip) Run(spec platform.RunSpec) (*platform.Result, error) {
+	core := c.chip()
 	if len(c.breaks) == 0 {
-		return golden.RunCore(c.core, c.name, platform.KindBondout, c.Caps(), spec)
+		return golden.RunCore(core, c.name, platform.KindBondout, c.Caps(), spec)
 	}
 	// With breakpoints armed, single-step and compare PC against the
 	// comparators before each instruction.
-	disarm, err := golden.ArmTrace(c.core, c.Caps(), spec)
+	disarm, err := golden.ArmTrace(core, c.Caps(), spec)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +133,6 @@ func (c *Chip) Run(spec platform.RunSpec) (*platform.Result, error) {
 	if maxInsts == 0 {
 		maxInsts = platform.DefaultMaxInstructions
 	}
-	core := c.core
 	ctx := spec.Context
 	res := &platform.Result{Platform: c.name, Kind: platform.KindBondout}
 	for {
@@ -185,12 +204,12 @@ func (c *Chip) Resume(spec platform.RunSpec) (*platform.Result, error) {
 	// for one instruction.
 	saved := c.breaks
 	c.breaks = nil
-	if out := c.core.PollAsync(); out != golden.StepUnhandled {
-		c.core.Step()
+	if core := c.chip(); core.PollAsync() != golden.StepUnhandled {
+		core.Step()
 	}
 	c.breaks = saved
 	return c.Run(spec)
 }
 
 // Core exposes the underlying core for the debug register window.
-func (c *Chip) Core() *golden.Core { return c.core }
+func (c *Chip) Core() *golden.Core { return c.chip() }

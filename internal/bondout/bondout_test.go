@@ -93,9 +93,8 @@ func TestBreakpointComparatorLimit(t *testing.T) {
 	}
 }
 
-func TestWatchpointUnit(t *testing.T) {
-	cfg := soc.DefaultConfig()
-	img, err := testprog.Build(cfg, nil, map[string]string{"t.asm": `
+// watchProg stores 0x42 once into a BSS word, buf.
+const watchProg = `
 _main:
     LOAD a0, buf
     LOAD d0, 0x42
@@ -105,7 +104,11 @@ _main:
 .SECTION bss
 buf:
     .SPACE 4
-`})
+`
+
+func TestWatchpointUnit(t *testing.T) {
+	cfg := soc.DefaultConfig()
+	img, err := testprog.Build(cfg, nil, map[string]string{"t.asm": watchProg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +127,36 @@ buf:
 	}
 	if len(c.WatchHits) != 2 || c.WatchHits[0] != bufAddr || c.WatchHits[1] != 0x42 {
 		t.Errorf("watch hits = %v", c.WatchHits)
+	}
+}
+
+// TestWatchpointSurvivesLoad: the watchpoint unit belongs to the chip, as
+// the breakpoint comparators do, so a range armed before Load watches the
+// loaded program, and a second Load keeps it armed while clearing the
+// hits of the previous run.
+func TestWatchpointSurvivesLoad(t *testing.T) {
+	cfg := soc.DefaultConfig()
+	img, err := testprog.Build(cfg, nil, map[string]string{"t.asm": watchProg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufAddr, _ := img.SymbolAddr("buf")
+	c := New(cfg)
+	c.AddWatchpoint(bufAddr, bufAddr+3)
+	for load := 1; load <= 2; load++ {
+		if err := c.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(platform.RunSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed() {
+			t.Fatalf("load %d: program failed: %+v", load, res)
+		}
+		if len(c.WatchHits) != 2 || c.WatchHits[0] != bufAddr || c.WatchHits[1] != 0x42 {
+			t.Errorf("load %d: watch hits = %v, want [%#x 0x42]", load, c.WatchHits, bufAddr)
+		}
 	}
 }
 

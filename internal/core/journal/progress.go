@@ -42,7 +42,7 @@ type Progress struct {
 	flaky    int
 	retries  int
 	cached   int
-	skipped  int // quarantine
+	skipped  int            // quarantine
 	inflight map[string]int // platform -> cells currently running
 	started  map[string]bool
 

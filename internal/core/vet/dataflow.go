@@ -23,10 +23,10 @@ import (
 // regSet is a bitset over the 32 architectural registers.
 type regSet uint32
 
-func (s regSet) has(r isa.Reg) bool  { return s&(1<<uint(r)) != 0 }
-func (s *regSet) add(r isa.Reg)      { *s |= 1 << uint(r) }
-func (s *regSet) del(r isa.Reg)      { *s &^= 1 << uint(r) }
-func (s *regSet) union(o regSet)     { *s |= o }
+func (s regSet) has(r isa.Reg) bool { return s&(1<<uint(r)) != 0 }
+func (s *regSet) add(r isa.Reg)     { *s |= 1 << uint(r) }
+func (s *regSet) del(r isa.Reg)     { *s &^= 1 << uint(r) }
+func (s *regSet) union(o regSet)    { *s |= o }
 
 const allRegs = regSet(0xFFFFFFFF)
 

@@ -102,14 +102,14 @@ const (
 // Whole-program check IDs (the interprocedural flow and traceability
 // passes).
 const (
-	CheckStackRecursion       = "stack/recursion"            // call-graph cycle: unbounded recursion
-	CheckStackUnbounded       = "stack/unbounded"            // loop grows the stack without bound
-	CheckStackOverflow        = "stack/overflow"             // worst-case depth exceeds the derivative budget
-	CheckLayerCall            = "layer/call-bypass"          // test-layer call edge into a global-layer function
-	CheckUninitRead           = "flow/uninit-read"           // register read with no reaching write on some path
-	CheckDeadStore            = "flow/dead-store"            // register write no path reads
-	CheckNoRequirement        = "trace/no-requirement"       // test declares no REQ id
-	CheckUnknownRequirement   = "trace/unknown-requirement"  // REQ id not in the catalogue
+	CheckStackRecursion       = "stack/recursion"             // call-graph cycle: unbounded recursion
+	CheckStackUnbounded       = "stack/unbounded"             // loop grows the stack without bound
+	CheckStackOverflow        = "stack/overflow"              // worst-case depth exceeds the derivative budget
+	CheckLayerCall            = "layer/call-bypass"           // test-layer call edge into a global-layer function
+	CheckUninitRead           = "flow/uninit-read"            // register read with no reaching write on some path
+	CheckDeadStore            = "flow/dead-store"             // register write no path reads
+	CheckNoRequirement        = "trace/no-requirement"        // test declares no REQ id
+	CheckUnknownRequirement   = "trace/unknown-requirement"   // REQ id not in the catalogue
 	CheckUncoveredRequirement = "trace/uncovered-requirement" // catalogued requirement with no covering test
 )
 

@@ -23,15 +23,24 @@ func init() {
 
 // Box is an emulator instance.
 type Box struct {
+	cfg soc.HWConfig
+	// core is built by each Load, or on first use before any Load.
 	core *golden.Core
 	name string
 }
 
 // New creates an emulator platform.
 func New(cfg soc.HWConfig) *Box {
-	b := &Box{core: golden.NewCore(soc.New(cfg)), name: "emulator/" + cfg.Name}
-	b.core.CyclesPerInst = emuCyclesPerInst
-	return b
+	return &Box{cfg: cfg, name: "emulator/" + cfg.Name}
+}
+
+// chip returns the current core, building a new one if there is none.
+func (b *Box) chip() *golden.Core {
+	if b.core == nil {
+		b.core = golden.NewCore(soc.New(b.cfg))
+		b.core.CyclesPerInst = emuCyclesPerInst
+	}
+	return b.core
 }
 
 // Name implements platform.Platform.
@@ -52,13 +61,12 @@ func (b *Box) Caps() platform.Caps {
 }
 
 // SoC implements platform.Platform.
-func (b *Box) SoC() *soc.SoC { return b.core.S }
+func (b *Box) SoC() *soc.SoC { return b.chip().S }
 
-// Load implements platform.Platform.
+// Load implements platform.Platform. Every load starts from a new chip.
 func (b *Box) Load(img *obj.Image) error {
-	b.core = golden.NewCore(soc.New(b.core.S.Cfg))
-	b.core.CyclesPerInst = emuCyclesPerInst
-	return b.core.LoadImage(img)
+	b.core = nil
+	return b.chip().LoadImage(img)
 }
 
 // Run implements platform.Platform. Cooperative cancellation
@@ -69,5 +77,5 @@ func (b *Box) Load(img *obj.Image) error {
 func (b *Box) Run(spec platform.RunSpec) (*platform.Result, error) {
 	// The accelerator ignores trace requests: it has no trace port.
 	spec.Trace = nil
-	return golden.RunCore(b.core, b.name, platform.KindEmulator, b.Caps(), spec)
+	return golden.RunCore(b.chip(), b.name, platform.KindEmulator, b.Caps(), spec)
 }

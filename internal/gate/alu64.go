@@ -44,9 +44,10 @@ type NetALU64 struct {
 // calls it at the top of every run (including with nil to clear it).
 func (g *NetALU64) SetRunContext(ctx context.Context) { g.ctx = ctx }
 
-// NewNetALU64 builds the netlist and its 64-lane evaluator.
+// NewNetALU64 returns a backend over its own copy of the ALU netlist and
+// a 64-lane evaluator.
 func NewNetALU64() *NetALU64 {
-	nl := netlist.BuildALU()
+	nl := aluNetlist().Clone()
 	return &NetALU64{nl: nl, ev: netlist.NewEvaluator64(nl)}
 }
 

@@ -8,6 +8,7 @@ package gate
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/netlist"
@@ -16,15 +17,19 @@ import (
 	"repro/internal/soc"
 )
 
+// aluNetlist synthesises the ALU once per process. Every backend runs a
+// Clone of it: fault-injection tests mutate their instance's gates.
+var aluNetlist = sync.OnceValue(netlist.BuildALU)
+
 // NetALU is an rtl.ALUBackend that evaluates the synthesised ALU netlist.
 type NetALU struct {
 	ev *netlist.Evaluator
 	nl *netlist.Netlist
 }
 
-// NewNetALU builds the netlist and its evaluator.
+// NewNetALU returns a backend over its own copy of the ALU netlist.
 func NewNetALU() *NetALU {
-	nl := netlist.BuildALU()
+	nl := aluNetlist().Clone()
 	return &NetALU{nl: nl, ev: netlist.NewEvaluator(nl)}
 }
 

@@ -9,6 +9,8 @@ import (
 // Model is the golden-reference-model platform: instruction-accurate,
 // fully visible, fastest.
 type Model struct {
+	cfg soc.HWConfig
+	// core is built by each Load, or on first use before any Load.
 	core *Core
 	name string
 }
@@ -21,7 +23,7 @@ func init() {
 
 // NewModel creates a golden platform over a derivative configuration.
 func NewModel(cfg soc.HWConfig) *Model {
-	return &Model{core: NewCore(soc.New(cfg)), name: "golden/" + cfg.Name}
+	return &Model{cfg: cfg, name: "golden/" + cfg.Name}
 }
 
 // Name implements platform.Platform.
@@ -42,22 +44,28 @@ func (m *Model) Caps() platform.Caps {
 }
 
 // SoC implements platform.Platform.
-func (m *Model) SoC() *soc.SoC { return m.core.S }
+func (m *Model) SoC() *soc.SoC { return m.Core().S }
 
 // Core exposes the underlying functional core for white-box checks and
 // cross-platform state comparison.
-func (m *Model) Core() *Core { return m.core }
+func (m *Model) Core() *Core {
+	if m.core == nil {
+		m.core = NewCore(soc.New(m.cfg))
+	}
+	return m.core
+}
 
-// Load implements platform.Platform.
+// Load implements platform.Platform. Every load starts from a new chip;
+// PredecodeOff carries over from the previous one.
 func (m *Model) Load(img *obj.Image) error {
-	s := soc.New(m.core.S.Cfg)
-	off := m.core.PredecodeOff
-	m.core = NewCore(s)
-	m.core.PredecodeOff = off
-	return m.core.LoadImage(img)
+	off := m.core != nil && m.core.PredecodeOff
+	m.core = nil
+	c := m.Core()
+	c.PredecodeOff = off
+	return c.LoadImage(img)
 }
 
 // Run implements platform.Platform.
 func (m *Model) Run(spec platform.RunSpec) (*platform.Result, error) {
-	return RunCore(m.core, m.name, platform.KindGolden, m.Caps(), spec)
+	return RunCore(m.Core(), m.name, platform.KindGolden, m.Caps(), spec)
 }

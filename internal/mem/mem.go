@@ -2,12 +2,33 @@
 // SC88 execution platform: fixed-size RAM/ROM/NVM regions with access
 // permissions, watchpoints, and fault reporting. All multi-byte accesses
 // are little-endian.
+//
+// Regions are paged: a region holds one pointer per 4 KiB span and
+// allocates that page on the first write of a non-zero byte into it.
+// A page never written reads as zero, so building a chip costs its
+// memory map, not its memory, and a test pays only for the pages it
+// touches.
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
+
+// pageSize is the allocation granularity of region storage.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page is one span of region storage.
+type page = [pageSize]byte
+
+// zeroPage is never written: a chunk equal to its prefix needs no page.
+var zeroPage page
 
 // Perm is a bitmask of permitted access kinds for a region.
 type Perm uint8
@@ -56,16 +77,56 @@ func (f *Fault) Error() string {
 
 // Region is a contiguous span of memory with uniform permissions.
 type Region struct {
-	Name  string
-	Base  uint32
-	Size  uint32
-	Perm  Perm
-	bytes []byte
+	Name string
+	Base uint32
+	Size uint32
+	Perm Perm
+	// pages[i] backs region offsets [i*pageSize, (i+1)*pageSize); nil
+	// until a non-zero byte is written there.
+	pages []*page
 }
 
 // Contains reports whether addr lies inside the region.
 func (r *Region) Contains(addr uint32) bool {
 	return addr >= r.Base && addr-r.Base < r.Size
+}
+
+// pageAt returns the page holding region offset off, allocating it when
+// it is absent and alloc is set. A nil result is an all-zero page.
+func (r *Region) pageAt(off uint32, alloc bool) *page {
+	p := r.pages[off>>pageShift]
+	if p == nil && alloc {
+		p = new(page)
+		r.pages[off>>pageShift] = p
+	}
+	return p
+}
+
+// copyOut fills out from region offset off, a page at a time.
+func (r *Region) copyOut(off uint32, out []byte) {
+	for len(out) > 0 {
+		o := off & pageMask
+		n := min(len(out), pageSize-int(o))
+		if p := r.pages[off>>pageShift]; p != nil {
+			copy(out[:n], p[o:])
+		} else {
+			clear(out[:n])
+		}
+		out, off = out[n:], off+uint32(n)
+	}
+}
+
+// copyIn stores data at region offset off, a page at a time. Zeros bound
+// for a page never written are already there and allocate nothing.
+func (r *Region) copyIn(off uint32, data []byte) {
+	for len(data) > 0 {
+		o := off & pageMask
+		n := min(len(data), pageSize-int(o))
+		if p := r.pageAt(off, !bytes.Equal(data[:n], zeroPage[:n])); p != nil {
+			copy(p[o:], data[:n])
+		}
+		data, off = data[n:], off+uint32(n)
+	}
 }
 
 // Watchpoint triggers a callback when an address range is accessed. Used by
@@ -99,7 +160,8 @@ func (m *Memory) AddRegion(name string, base, size uint32, perm Perm) *Region {
 				name, base, base+size, r.Name, r.Base, r.Base+r.Size))
 		}
 	}
-	reg := &Region{Name: name, Base: base, Size: size, Perm: perm, bytes: make([]byte, size)}
+	reg := &Region{Name: name, Base: base, Size: size, Perm: perm,
+		pages: make([]*page, (uint64(size)+pageMask)>>pageShift)}
 	m.regions = append(m.regions, reg)
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
 	return reg
@@ -180,7 +242,11 @@ func (m *Memory) Read8(addr uint32, kind Access) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := r.bytes[addr-r.Base]
+	var v byte
+	off := addr - r.Base
+	if p := r.pages[off>>pageShift]; p != nil {
+		v = p[off&pageMask]
+	}
 	m.fire(addr, kind, uint32(v))
 	return v, nil
 }
@@ -191,7 +257,10 @@ func (m *Memory) Write8(addr uint32, v byte) error {
 	if err != nil {
 		return err
 	}
-	r.bytes[addr-r.Base] = v
+	off := addr - r.Base
+	if p := r.pageAt(off, v != 0); p != nil {
+		p[off&pageMask] = v
+	}
 	m.fire(addr, AccessWrite, uint32(v))
 	return nil
 }
@@ -202,8 +271,9 @@ func (m *Memory) Read16(addr uint32, kind Access) (uint16, error) {
 	if err != nil {
 		return 0, err
 	}
-	off := addr - r.Base
-	v := uint16(r.bytes[off]) | uint16(r.bytes[off+1])<<8
+	var b [2]byte
+	r.copyOut(addr-r.Base, b[:])
+	v := binary.LittleEndian.Uint16(b[:])
 	m.fire(addr, kind, uint32(v))
 	return v, nil
 }
@@ -214,9 +284,9 @@ func (m *Memory) Write16(addr uint32, v uint16) error {
 	if err != nil {
 		return err
 	}
-	off := addr - r.Base
-	r.bytes[off] = byte(v)
-	r.bytes[off+1] = byte(v >> 8)
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	r.copyIn(addr-r.Base, b[:])
 	m.fire(addr, AccessWrite, uint32(v))
 	return nil
 }
@@ -227,9 +297,19 @@ func (m *Memory) Read32(addr uint32, kind Access) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Words carry every interpreted fetch, so one inside a page is read
+	// in place; only a relaxed misaligned word can straddle two.
+	var v uint32
 	off := addr - r.Base
-	v := uint32(r.bytes[off]) | uint32(r.bytes[off+1])<<8 |
-		uint32(r.bytes[off+2])<<16 | uint32(r.bytes[off+3])<<24
+	if o := off & pageMask; o <= pageSize-4 {
+		if p := r.pages[off>>pageShift]; p != nil {
+			v = binary.LittleEndian.Uint32(p[o:])
+		}
+	} else {
+		var b [4]byte
+		r.copyOut(off, b[:])
+		v = binary.LittleEndian.Uint32(b[:])
+	}
 	m.fire(addr, kind, v)
 	return v, nil
 }
@@ -241,23 +321,31 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 		return err
 	}
 	off := addr - r.Base
-	r.bytes[off] = byte(v)
-	r.bytes[off+1] = byte(v >> 8)
-	r.bytes[off+2] = byte(v >> 16)
-	r.bytes[off+3] = byte(v >> 24)
+	if o := off & pageMask; o <= pageSize-4 {
+		if p := r.pageAt(off, v != 0); p != nil {
+			binary.LittleEndian.PutUint32(p[o:], v)
+		}
+	} else {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		r.copyIn(off, b[:])
+	}
 	m.fire(addr, AccessWrite, v)
 	return nil
 }
 
 // LoadBlob copies data into memory starting at addr, bypassing permission
-// checks. Used by image loaders.
+// checks. Used by image loaders. Bytes up to the first unmapped address
+// are written; that address is reported as the fault.
 func (m *Memory) LoadBlob(addr uint32, data []byte) error {
-	for i, b := range data {
-		r := m.FindRegion(addr + uint32(i))
+	for len(data) > 0 {
+		r := m.FindRegion(addr)
 		if r == nil {
-			return &Fault{Addr: addr + uint32(i), Size: 1, Kind: AccessWrite, Reason: "unmapped (load)"}
+			return &Fault{Addr: addr, Size: 1, Kind: AccessWrite, Reason: "unmapped (load)"}
 		}
-		r.bytes[addr+uint32(i)-r.Base] = b
+		n := min(uint64(len(data)), uint64(r.Size-(addr-r.Base)))
+		r.copyIn(addr-r.Base, data[:n])
+		data, addr = data[n:], addr+uint32(n)
 	}
 	return nil
 }
@@ -265,12 +353,14 @@ func (m *Memory) LoadBlob(addr uint32, data []byte) error {
 // Dump copies size bytes starting at addr, bypassing permission checks.
 func (m *Memory) Dump(addr uint32, size int) ([]byte, error) {
 	out := make([]byte, size)
-	for i := range out {
-		r := m.FindRegion(addr + uint32(i))
+	for rest := out; len(rest) > 0; {
+		r := m.FindRegion(addr)
 		if r == nil {
-			return nil, &Fault{Addr: addr + uint32(i), Size: 1, Kind: AccessRead, Reason: "unmapped (dump)"}
+			return nil, &Fault{Addr: addr, Size: 1, Kind: AccessRead, Reason: "unmapped (dump)"}
 		}
-		out[i] = r.bytes[addr+uint32(i)-r.Base]
+		n := min(uint64(len(rest)), uint64(r.Size-(addr-r.Base)))
+		r.copyOut(addr-r.Base, rest[:n])
+		rest, addr = rest[n:], addr+uint32(n)
 	}
 	return out, nil
 }

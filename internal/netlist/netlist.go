@@ -355,6 +355,16 @@ func (ev *Evaluator) Output(name string) uint64 {
 	return v
 }
 
+// Clone returns a netlist with its own copy of the gate list. The input,
+// output and level tables are read-only once built and stay shared, so a
+// clone costs one slice copy; MutateGate on the clone leaves the original
+// untouched.
+func (n *Netlist) Clone() *Netlist {
+	c := *n
+	c.gates = append([]Gate(nil), n.gates...)
+	return &c
+}
+
 // MutateGate replaces gate i's kind, for mutation testing of equivalence
 // checkers: a checker worth trusting must catch a single-gate defect.
 // It returns the original kind.

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Section identifies one of the three linkable sections.
@@ -113,6 +114,23 @@ type Image struct {
 	Lines []LineInfo
 	// BssAddr/BssSize locate zero-initialised storage the loader clears.
 	BssAddr, BssSize uint32
+
+	// derived holds values later layers compute from the image (the
+	// simulators' predecoded ROM tables) so that they live exactly as
+	// long as the image does; see Derived.
+	derived sync.Map
+}
+
+// Derived returns the value stored on the image under key, storing
+// build() there on first use. Concurrent first uses may each call build;
+// every caller gets the one value kept. A linked image never changes,
+// which is what makes a value derived from it safe to share.
+func (img *Image) Derived(key any, build func() any) any {
+	if v, ok := img.derived.Load(key); ok {
+		return v
+	}
+	v, _ := img.derived.LoadOrStore(key, build())
+	return v
 }
 
 // SymbolAddr looks up a symbol address in the image.

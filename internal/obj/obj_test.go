@@ -3,6 +3,7 @@ package obj
 import (
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -209,5 +210,32 @@ func TestSourceAt(t *testing.T) {
 	}
 	if a, ok := img.SymbolAddr("_start"); !ok || a != 0x1000 {
 		t.Errorf("SymbolAddr = %#x %v", a, ok)
+	}
+}
+
+// TestDerivedOneValuePerKey: concurrent first uses of a key on one image
+// all get the one value kept, and distinct keys get distinct values.
+func TestDerivedOneValuePerKey(t *testing.T) {
+	img := &Image{}
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = img.Derived("table", func() any { return new(int) })
+		}(i)
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, v, got[0])
+		}
+	}
+	if again := img.Derived("table", func() any { return new(int) }); again != got[0] {
+		t.Error("a later use rebuilt the value")
+	}
+	if other := img.Derived("other", func() any { return new(int) }); other == got[0] {
+		t.Error("distinct keys share a value")
 	}
 }

@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/bondout"
@@ -173,5 +174,39 @@ func TestCycleAccuratePlatformsAgree(t *testing.T) {
 	}
 	if rtl.Instructions != gate.Instructions {
 		t.Errorf("instruction counts disagree: rtl=%d gate=%d", rtl.Instructions, gate.Instructions)
+	}
+}
+
+// TestNewLoadAllocation pins the set-up a regression cell pays before its
+// first instruction: platform.New plus Load must allocate at most 64 KiB
+// on average, for every kind. Memory is paged and allocated on first
+// write, each golden-core platform builds its SoC once, at Load, and the
+// gate platform copies one process-wide ALU netlist instead of
+// synthesising its own.
+func TestNewLoadAllocation(t *testing.T) {
+	const budget, rounds = 64 << 10, 20
+	d := derivative.A()
+	for _, k := range platform.AllKinds() {
+		k := k
+		t.Run(k.String(), func(t *testing.T) {
+			// The first load pays once-per-process work: the shared ALU
+			// netlist and the image's predecode table.
+			_, img := buildAndLoad(t, k)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				p, err := platform.New(k, d.HW)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Load(img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > budget {
+				t.Errorf("new+Load allocates %d B per cell, budget %d B", per, budget)
+			}
+		})
 	}
 }

@@ -24,7 +24,6 @@ package predecode
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core/telemetry"
@@ -236,33 +235,27 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// romKey identifies one shared ROM decode: same image object, same
-// placement, same wait states. Image bytes are immutable after linking,
-// so every SoC loading this image sees identical ROM content and the
-// table is safely shared across cores and goroutines.
+// romKey identifies one ROM decode of an image: same placement, same
+// wait states. Image bytes are immutable after linking, so every SoC
+// loading the image sees identical ROM content and the table is safely
+// shared across cores and goroutines.
 type romKey struct {
-	img        *obj.Image
 	base, size uint32
 	wait       uint64
 }
 
-var romTables sync.Map // romKey -> *Table
-
 // ForImage returns the shared predecode table for an image's ROM
-// placement, building it (lazily, page by page) on first use. Tables are
-// keyed by image identity: regression cells running the same linked
-// image decode it once, not once per cell.
+// placement, building it (lazily, page by page) on first use. The table
+// is stored on the image itself: regression cells running the same
+// linked image decode it once, not once per cell, and the table and its
+// decoded pages are freed with the image.
 func ForImage(img *obj.Image, base, size uint32, wait uint64) *Table {
 	if img == nil || size == 0 {
 		return nil
 	}
-	k := romKey{img: img, base: base, size: size, wait: wait}
-	if v, ok := romTables.Load(k); ok {
-		return v.(*Table)
-	}
-	t := newTable(base, size, wait, imageReader(img, base, size))
-	v, _ := romTables.LoadOrStore(k, t)
-	return v.(*Table)
+	return img.Derived(romKey{base: base, size: size, wait: wait}, func() any {
+		return newTable(base, size, wait, imageReader(img, base, size))
+	}).(*Table)
 }
 
 // imageReader reads words from the image's segments as they would appear

@@ -20,13 +20,23 @@ func init() {
 
 // Chip is a product-silicon device.
 type Chip struct {
+	cfg soc.HWConfig
+	// core is built by each Load, or on first use before any Load.
 	core *golden.Core
 	name string
 }
 
 // New creates a product-silicon platform.
 func New(cfg soc.HWConfig) *Chip {
-	return &Chip{core: golden.NewCore(soc.New(cfg)), name: "silicon/" + cfg.Name}
+	return &Chip{cfg: cfg, name: "silicon/" + cfg.Name}
+}
+
+// chip returns the current core, building a new one if there is none.
+func (c *Chip) chip() *golden.Core {
+	if c.core == nil {
+		c.core = golden.NewCore(soc.New(c.cfg))
+	}
+	return c.core
 }
 
 // Name implements platform.Platform.
@@ -40,13 +50,13 @@ func (c *Chip) Caps() platform.Caps { return platform.Caps{} }
 
 // SoC implements platform.Platform: product silicon exposes its pins
 // (UART, GPIO) — the SoC handle is the pin interface.
-func (c *Chip) SoC() *soc.SoC { return c.core.S }
+func (c *Chip) SoC() *soc.SoC { return c.chip().S }
 
 // Load implements platform.Platform (the production programmer writes the
-// ROM/NVM images).
+// ROM/NVM images). Every load starts from a new chip.
 func (c *Chip) Load(img *obj.Image) error {
-	c.core = golden.NewCore(soc.New(c.core.S.Cfg))
-	return c.core.LoadImage(img)
+	c.core = nil
+	return c.chip().LoadImage(img)
 }
 
 // Run implements platform.Platform. RunSpec.Context cancellation is
@@ -54,7 +64,7 @@ func (c *Chip) Load(img *obj.Image) error {
 // handler's watchdog yanking a part that stopped answering.
 func (c *Chip) Run(spec platform.RunSpec) (*platform.Result, error) {
 	spec.Trace = nil // no trace port on product silicon
-	res, err := golden.RunCore(c.core, c.name, platform.KindSilicon, c.Caps(), spec)
+	res, err := golden.RunCore(c.chip(), c.name, platform.KindSilicon, c.Caps(), spec)
 	if err != nil {
 		return nil, err
 	}
