@@ -25,6 +25,9 @@
 #   make report    flight-recorder demo: journal + history a small matrix
 #                  twice, render text + HTML + trend reports via advm-report
 #   make examples  run every program under examples/ to completion
+#   make commands  run every command's documented usage example that
+#                  tier-1 and the smokes do not (advm-asm, -difftest,
+#                  -export, -gen, -port, -run, -trace)
 #
 #   REPORT_DIR ?= .advm-report   scratch dir for `make report` artifacts
 #   SERVED_DIR ?= .advm-served   scratch dir for `make smoke-served`
@@ -38,7 +41,7 @@ SERVED_DIR ?= .advm-served
 FLEET_DIR ?= .advm-fleet
 FLEET_PORT ?= 17977
 
-.PHONY: all tier1 vet lint race fuzz bench cache bench-json bench-smoke smoke smoke-served smoke-fleet report examples tools
+.PHONY: all tier1 vet lint race fuzz bench cache bench-json bench-smoke smoke smoke-served smoke-fleet report examples commands tools
 
 all: tier1
 
@@ -172,6 +175,32 @@ report:
 # to end through the public advm facade and exits non-zero if it breaks.
 examples:
 	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
+
+# Every command the other targets leave alone, run on the examples its
+# usage comment documents: a built command whose own example exits
+# non-zero fails here. advm-asm assembles a three-line program and
+# advm-export writes its tree, both in a temporary directory removed
+# afterwards; each example's stdout is discarded, errors still print.
+COMMANDS = advm-asm advm-difftest advm-export advm-gen advm-port advm-run advm-trace
+commands:
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/ $(addprefix ./cmd/,$(COMMANDS)); \
+	printf '_start:\n\tLOAD d15, 0x600D\n\tHALT\n' > $$tmp/prog.asm; \
+	run() { echo "== $$*"; "$$tmp/$$@" > /dev/null; }; \
+	run advm-asm $$tmp/prog.asm; \
+	run advm-asm -D DERIV_B -l $$tmp/prog.lst $$tmp/prog.asm; \
+	run advm-asm -run golden $$tmp/prog.asm; \
+	run advm-difftest -n 100 -seed 1 -insts 120; \
+	run advm-export -out $$tmp/advm-tree -deriv SC88-SEC; \
+	run advm-gen -n 8 -seed 7; \
+	run advm-gen -n 8 -run; \
+	run advm-port; \
+	run advm-port -to SC88-C; \
+	run advm-run -module NVM -test TEST_NVM_ERASE -deriv SC88-B -platform rtl -trace; \
+	run advm-trace -module UART -test TEST_UART_TX_IDLE -platform golden; \
+	run advm-trace -module NVM -test TEST_NVM_ERASE -kinds inst,reg -format jsonl; \
+	run advm-trace -module UART -test TEST_UART_TX_IDLE -ring 64; \
+	echo "commands: every documented example exited 0"
 
 tools:
 	$(GO) build -o bin/ ./cmd/...

@@ -143,6 +143,10 @@ const (
 // translate, or empty for the default).
 func ParseEngine(s string) (Engine, error) { return platform.ParseEngine(s) }
 
+// ParseKind parses a platform name (golden, rtl, gate, emulator, bondout,
+// silicon), case-insensitively.
+func ParseKind(name string) (Kind, error) { return platform.ParseKind(name) }
+
 // TranslateStats is a snapshot of the translation-engine counters.
 type TranslateStats = translate.Stats
 

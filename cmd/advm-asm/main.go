@@ -151,15 +151,9 @@ func main() {
 	if *runOn == "" {
 		return
 	}
-	var kind advm.Kind
-	found := false
-	for _, k := range advm.AllPlatformKinds() {
-		if strings.EqualFold(k.String(), *runOn) {
-			kind, found = k, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown platform %q", *runOn)
+	kind, err := advm.ParseKind(*runOn)
+	if err != nil {
+		log.Fatal(err)
 	}
 	p, err := advm.NewPlatform(kind, d)
 	if err != nil {

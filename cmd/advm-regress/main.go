@@ -117,8 +117,9 @@ func main() {
 		}
 		advm.AttachArtifactStore(store, spec.Cache, spec.RunCache)
 	}
-	metrics := advm.NewMetricsRegistry()
-	spec.Metrics = metrics
+	if *metricsOut != "" {
+		spec.Metrics = advm.NewMetricsRegistry()
+	}
 	if *traceOut != "" {
 		spec.Timeline = advm.NewTimeline()
 	}
@@ -178,16 +179,11 @@ func main() {
 	}
 	if *plats != "all" {
 		for _, name := range strings.Split(*plats, ",") {
-			found := false
-			for _, k := range advm.AllPlatformKinds() {
-				if strings.EqualFold(k.String(), strings.TrimSpace(name)) {
-					spec.Kinds = append(spec.Kinds, k)
-					found = true
-				}
+			k, err := advm.ParseKind(strings.TrimSpace(name))
+			if err != nil {
+				log.Fatal(err)
 			}
-			if !found {
-				log.Fatalf("unknown platform %q", name)
-			}
+			spec.Kinds = append(spec.Kinds, k)
 		}
 	}
 
@@ -293,7 +289,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		if err := metrics.WriteJSON(w); err != nil {
+		if err := spec.Metrics.WriteJSON(w); err != nil {
 			log.Fatal(err)
 		}
 		if *metricsOut != "-" {
@@ -387,10 +383,11 @@ func runServed(f servedFlags) {
 	var onResult func(*advm.ShardResult)
 	if f.verbose {
 		onResult = func(r *advm.ShardResult) {
-			o := r.Outcome
-			if !o.Passed {
-				fmt.Printf("FAIL %s/%s on %s/%s (worker %d): %s %s\n",
-					o.Module, o.Test, o.Derivative, o.Platform, r.Worker, o.Reason, o.BuildErr)
+			for _, rec := range r.Records {
+				if rec.Kind == advm.JournalOutcome && rec.Status != "passed" {
+					fmt.Printf("FAIL %s (worker %d): %s %s %s\n",
+						rec.CellID(), r.Worker, rec.Status, rec.Reason, rec.BuildErr)
+				}
 			}
 		}
 	}

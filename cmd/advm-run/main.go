@@ -17,15 +17,6 @@ import (
 	"repro/internal/cover"
 )
 
-func platformByName(name string) (advm.Kind, error) {
-	for _, k := range advm.AllPlatformKinds() {
-		if strings.EqualFold(k.String(), name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown platform %q (golden, rtl, gate, emulator, bondout, silicon)", name)
-}
-
 func main() {
 	log.SetFlags(0)
 	module := flag.String("module", "NVM", "module environment (NVM, UART, REGISTER)")
@@ -51,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := platformByName(*plat)
+	kind, err := advm.ParseKind(*plat)
 	if err != nil {
 		log.Fatal(err)
 	}

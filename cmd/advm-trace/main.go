@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	advm-trace -module UART -test TEST_UART_TX -platform golden
+//	advm-trace -module UART -test TEST_UART_TX_IDLE -platform golden
 //	advm-trace -module NVM -test TEST_NVM_ERASE -kinds inst,reg -format jsonl
-//	advm-trace -module UART -test TEST_UART_TX -ring 64   # last 64 events only
+//	advm-trace -module UART -test TEST_UART_TX_IDLE -ring 64   # last 64 events only
 package main
 
 import (
@@ -24,15 +24,6 @@ import (
 
 	"repro/advm"
 )
-
-func platformByName(name string) (advm.Kind, error) {
-	for _, k := range advm.AllPlatformKinds() {
-		if strings.EqualFold(k.String(), name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown platform %q (golden, rtl, gate, emulator, bondout, silicon)", name)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -60,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	kind, err := platformByName(*plat)
+	kind, err := advm.ParseKind(*plat)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 package bus
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -117,7 +118,7 @@ func (b *Bus) Attach(base uint32, dev Device) {
 		panic(fmt.Sprintf("bus: device %q window overlaps memory region %q", dev.Name(), r.Name))
 	}
 	b.windows = append(b.windows, window{base: base, dev: dev})
-	sort.Slice(b.windows, func(i, j int) bool { return b.windows[i].base < b.windows[j].base })
+	slices.SortFunc(b.windows, func(x, y window) int { return cmp.Compare(x.base, y.base) })
 	if t, ok := dev.(Ticker); ok {
 		b.tickers = append(b.tickers, t)
 		b.recomputeHorizon()

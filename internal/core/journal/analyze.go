@@ -84,37 +84,24 @@ func Analyze(recs []Record) *Analysis {
 	return a
 }
 
-// Counts tallies the outcome statuses (flaky is a refinement of
-// failed, matching regress.Report.Counts).
+// Counts tallies the outcome statuses.
 func (a *Analysis) Counts() (passed, failed, broken, flaky int) {
+	var t Tally
 	for _, o := range a.Outcomes {
-		switch o.Status {
-		case StatusPassed:
-			passed++
-		case StatusBroken:
-			broken++
-		case StatusFlaky:
-			failed++
-			flaky++
-		default:
-			failed++
-		}
+		t.Add(o.Status)
 	}
-	return
+	return t.Passed, t.Failed, t.Broken, t.Flaky
 }
 
 // PlatformLane aggregates one platform's cells.
 type PlatformLane struct {
 	Platform string
 	Cells    int
-	Passed   int
-	Failed   int
-	Broken   int
-	Flaky    int
-	Cached   int
-	Retries  int
-	BuildNs  int64
-	RunNs    int64
+	Tally
+	Cached  int
+	Retries int
+	BuildNs int64
+	RunNs   int64
 	// FirstNs/LastNs bound the platform's outcome offsets — the lane's
 	// extent on the run's time axis.
 	FirstNs int64
@@ -132,17 +119,7 @@ func (a *Analysis) Lanes() []PlatformLane {
 			acc[o.Platform] = l
 		}
 		l.Cells++
-		switch o.Status {
-		case StatusPassed:
-			l.Passed++
-		case StatusBroken:
-			l.Broken++
-		case StatusFlaky:
-			l.Failed++
-			l.Flaky++
-		default:
-			l.Failed++
-		}
+		l.Add(o.Status)
 		if o.Cached {
 			l.Cached++
 		}

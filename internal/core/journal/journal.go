@@ -6,6 +6,10 @@
 // runtime sample) and a closing end record with the verdict counts and
 // cache totals.
 //
+// A cell's outcome record is its whole result: the one serialised form
+// that reports, certification bundles and served replies are read back
+// from. Format version 2 added mbox_result and detail to it.
+//
 // The journal is the persistence half of the observability layer: the
 // in-process telemetry substrate (internal/core/telemetry) answers "what
 // is the process doing right now", the journal answers "what did that
@@ -33,8 +37,9 @@ import (
 	"time"
 )
 
-// Version is the journal format version stamped into header records.
-const Version = 1
+// Version is the journal format version stamped into header records,
+// and checked where a worker or a client meets a daemon.
+const Version = 2
 
 // Kind enumerates the record types.
 type Kind string
@@ -63,8 +68,9 @@ const (
 	// KindCacheHit marks a cell served from the run cache instead of
 	// being simulated.
 	KindCacheHit Kind = "cache-hit"
-	// KindOutcome closes one cell: status, stop reason, counters, and the
-	// accumulated build/run/backoff times.
+	// KindOutcome closes one cell with its whole result: status, stop
+	// reason, mailbox result, detail, counters, and the accumulated
+	// build/run times.
 	KindOutcome Kind = "outcome"
 	// KindTriage references the first-divergence artifact of a failing
 	// cell (Ref is the one-line summary, or the artifact path when the
@@ -86,6 +92,25 @@ const (
 	StatusFlaky  = "flaky"
 	StatusBroken = "broken"
 )
+
+// Tally counts outcome statuses the way every report, board and served
+// reply does: a flaky cell counts as failed, and again as flaky.
+type Tally struct{ Passed, Failed, Broken, Flaky int }
+
+// Add counts one outcome status.
+func (t *Tally) Add(status string) {
+	switch status {
+	case StatusPassed:
+		t.Passed++
+	case StatusBroken:
+		t.Broken++
+	case StatusFlaky:
+		t.Failed++
+		t.Flaky++
+	default:
+		t.Failed++
+	}
+}
 
 // Record is one journal line. It is a flat union over every record
 // kind: unused fields are omitted from the JSON, so each line carries
@@ -123,15 +148,17 @@ type Record struct {
 	From      string `json:"from,omitempty"`
 	To        string `json:"to,omitempty"`
 
-	// Outcome fields.
-	Status   string `json:"status,omitempty"`
-	Reason   string `json:"reason,omitempty"`
-	BuildErr string `json:"build_err,omitempty"`
-	Cycles   uint64 `json:"cycles,omitempty"`
-	Insts    uint64 `json:"insts,omitempty"`
-	BuildNs  int64  `json:"build_ns,omitempty"`
-	RunNs    int64  `json:"run_ns,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
+	// Outcome fields. Detail is empty for a broken cell: see BuildErr.
+	Status     string `json:"status,omitempty"`
+	Reason     string `json:"reason,omitempty"`
+	BuildErr   string `json:"build_err,omitempty"`
+	MboxResult uint32 `json:"mbox_result,omitempty"`
+	Detail     string `json:"detail,omitempty"`
+	Cycles     uint64 `json:"cycles,omitempty"`
+	Insts      uint64 `json:"insts,omitempty"`
+	BuildNs    int64  `json:"build_ns,omitempty"`
+	RunNs      int64  `json:"run_ns,omitempty"`
+	Cached     bool   `json:"cached,omitempty"`
 
 	// Triage reference.
 	Ref string `json:"ref,omitempty"`

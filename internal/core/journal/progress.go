@@ -36,10 +36,7 @@ type Progress struct {
 	total    int
 	workers  int
 	done     int
-	passed   int
-	failed   int
-	broken   int
-	flaky    int
+	tally    Tally
 	retries  int
 	cached   int
 	skipped  int            // quarantine
@@ -109,17 +106,7 @@ func (p *Progress) Emit(r Record) {
 		p.skipped++
 	case KindOutcome:
 		p.done++
-		switch r.Status {
-		case StatusPassed:
-			p.passed++
-		case StatusBroken:
-			p.broken++
-		case StatusFlaky:
-			p.failed++
-			p.flaky++
-		default:
-			p.failed++
-		}
+		p.tally.Add(r.Status)
 		id := r.CellID()
 		if p.started[id] {
 			delete(p.started, id)
@@ -202,9 +189,9 @@ func (p *Progress) line() string {
 		fill = p.done * slots / total
 	}
 	fmt.Fprintf(&b, "[%s%s] %d/%d", strings.Repeat("#", fill), strings.Repeat(".", slots-fill), p.done, total)
-	fmt.Fprintf(&b, "  pass %d fail %d broken %d", p.passed, p.failed, p.broken)
-	if p.flaky > 0 {
-		fmt.Fprintf(&b, " flaky %d", p.flaky)
+	fmt.Fprintf(&b, "  pass %d fail %d broken %d", p.tally.Passed, p.tally.Failed, p.tally.Broken)
+	if p.tally.Flaky > 0 {
+		fmt.Fprintf(&b, " flaky %d", p.tally.Flaky)
 	}
 	if p.retries > 0 {
 		fmt.Fprintf(&b, "  retries %d", p.retries)

@@ -6,6 +6,7 @@
 package regress
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
@@ -30,9 +31,7 @@ import (
 	"repro/internal/core/vet"
 	"repro/internal/obj"
 	"repro/internal/platform"
-	"repro/internal/predecode"
 	"repro/internal/soc"
-	"repro/internal/translate"
 )
 
 // Spec selects the regression matrix.
@@ -49,7 +48,7 @@ type Spec struct {
 	// pipeline in a worker process — same enumeration, same journal
 	// shape, zero drift from the in-process path.
 	Tests []string
-	// RunSpec bounds each individual run.
+	// RunSpec bounds each individual run; Run sets each run's Counts.
 	RunSpec platform.RunSpec
 	// Context, when non-nil, cancels the whole regression: the worker
 	// pool stops dispatching, in-flight runs are cancelled
@@ -98,9 +97,10 @@ type Spec struct {
 	RunCache *runcache.Cache
 	// Metrics, when non-nil, receives regression counters (cells run,
 	// pass/fail/broken, build/run latency histograms), is threaded into
-	// the build pipeline for assembler counters, and at the end of the
-	// run receives this run's own cache lookups (buildcache.* and
-	// runcache.*, as does the journal's end record): the caches'
+	// the build pipeline for assembler counters, counts the engine work
+	// (predecode.*, translate.*) of each cell run it executes, and at the
+	// end of the run receives this run's own cache lookups (buildcache.*
+	// and runcache.*, as does the journal's end record): the caches'
 	// counter growth during the run, so runs overlapping on one shared
 	// cache share the tally.
 	Metrics *telemetry.Registry
@@ -188,6 +188,83 @@ type Outcome struct {
 	// Triage is the first-divergence artifact for a failing cell when
 	// Spec.Triage was set (nil for passing cells).
 	Triage *Triage
+}
+
+// Status is the cell's verdict, by the one rule every report, journal
+// and served reply applies: broken, else flaky, else passed or failed.
+func (o Outcome) Status() string {
+	switch {
+	case o.BuildErr != "":
+		return journal.StatusBroken
+	case o.Flaky:
+		return journal.StatusFlaky
+	case o.Passed:
+		return journal.StatusPassed
+	}
+	return journal.StatusFailed
+}
+
+// Record is the cell's outcome record, the one serialised form of its
+// result. A broken cell's detail is left out, as the bundle leaves it:
+// that keeps a recovered panic's stack out of the masked journal.
+func (o Outcome) Record() journal.Record {
+	r := journal.Record{Kind: journal.KindOutcome,
+		Module: o.Module, Test: o.Test, Deriv: o.Derivative, Platform: o.Platform.String(),
+		Attempt: o.Attempts, Status: o.Status(), Reason: string(o.Reason), BuildErr: o.BuildErr,
+		MboxResult: o.MboxResult, Cycles: o.Cycles, Insts: o.Insts,
+		BuildNs: o.BuildNanos, RunNs: o.RunNanos, Cached: o.RunCached}
+	if o.BuildErr == "" {
+		r.Detail = o.Detail
+	}
+	return r
+}
+
+// OutcomeFromRecord reads an outcome back from its record; BackoffNanos,
+// Quarantined and Triage read as zero. A record that is not an outcome,
+// or whose platform or status does not parse, is an error.
+func OutcomeFromRecord(r journal.Record) (Outcome, error) {
+	k, err := platform.ParseKind(r.Platform)
+	if err != nil {
+		return Outcome{}, err
+	}
+	o := Outcome{
+		Module: r.Module, Test: r.Test, Derivative: r.Deriv, Platform: k,
+		Passed: r.Status == journal.StatusPassed, Flaky: r.Status == journal.StatusFlaky,
+		Reason: platform.StopReason(r.Reason), MboxResult: r.MboxResult,
+		Cycles: r.Cycles, Insts: r.Insts, BuildNanos: r.BuildNs, RunNanos: r.RunNs,
+		BuildErr: r.BuildErr, Detail: r.Detail, RunCached: r.Cached, Attempts: r.Attempt,
+	}
+	if r.Kind != journal.KindOutcome || o.Status() != r.Status {
+		return Outcome{}, fmt.Errorf("regress: malformed %s record for %s: status %q, build error %q",
+			r.Kind, r.CellID(), r.Status, r.BuildErr)
+	}
+	return o, nil
+}
+
+// HistoryOrder is the dispatch order the history store h gives cells:
+// longest-expected-first, or nil when h is absent or cold.
+func HistoryOrder(h *history.Store, cells []CellCoord) []int {
+	if h == nil {
+		return nil
+	}
+	keys := make([]string, len(cells))
+	kinds := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
+		kinds[i] = c.Kind.String()
+	}
+	return h.Order(keys, kinds)
+}
+
+// Learn teaches the history store h the cell's times. Cells that never
+// ran (cancelled, quarantined, breaker) or were served from the run cache
+// would poison the estimates; broken builds have no run time worth
+// learning.
+func (o Outcome) Learn(h *history.Store) {
+	if o.Attempts > 0 && !o.RunCached && o.BuildErr == "" {
+		h.Record(resilience.CellKey(o.Module, o.Test, o.Derivative, o.Platform), o.Platform.String(),
+			o.BuildNanos, o.RunNanos, o.Status())
+	}
 }
 
 // Report is a completed regression.
@@ -281,15 +358,9 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 	if len(derivs) == 0 {
 		derivs = derivative.Family()
 	}
-	if spec.Metrics != nil {
-		// Route the simulator hot-path counters through the registry for
-		// the duration of the matrix: concurrent workers' per-run flushes
-		// land in race-safe counters instead of ad-hoc package globals.
-		predecode.SetMetrics(spec.Metrics)
-		translate.SetMetrics(spec.Metrics)
-		defer predecode.SetMetrics(nil)
-		defer translate.SetMetrics(nil)
-	}
+	// Runs count into their own structs; the triage replay's two concurrent
+	// runs must not share a caller's.
+	spec.RunSpec.Counts = nil
 
 	// Static-analysis preflight: the frozen content must be clean before
 	// any cycle is spent on the matrix. The report rides along on the
@@ -370,17 +441,9 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 	for i := range order {
 		order[i] = i
 	}
-	if spec.History != nil {
-		keys := make([]string, len(cells))
-		kindNames := make([]string, len(cells))
-		for i, c := range cells {
-			keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
-			kindNames[i] = c.Kind.String()
-		}
-		if o := spec.History.Order(keys, kindNames); o != nil {
-			order = o
-			spec.Metrics.Counter("regress.history_scheduled").Inc()
-		}
+	if o := HistoryOrder(spec.History, cells); o != nil {
+		order = o
+		spec.Metrics.Counter("regress.history_scheduled").Inc()
 	}
 
 	spec.Timeline.NameProcess("advm matrix " + label.Name)
@@ -430,38 +493,14 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 			// The outcome is final here — panics included — so this is
 			// where the flight record closes the cell and the history
 			// store learns its times.
-			status := journal.StatusFailed
-			switch {
-			case out.BuildErr != "":
-				status = journal.StatusBroken
-			case out.Flaky:
-				status = journal.StatusFlaky
-			case out.Passed:
-				status = journal.StatusPassed
-			}
 			if spec.Journal != nil {
-				r := cellRec(journal.KindOutcome, c)
-				r.Attempt = out.Attempts
-				r.Status = status
-				r.Reason = string(out.Reason)
-				r.BuildErr = out.BuildErr
-				r.Cycles = out.Cycles
-				r.Insts = out.Insts
-				r.BuildNs = out.BuildNanos
-				r.RunNs = out.RunNanos
-				r.Cached = out.RunCached
-				emit(r)
+				emit(out.Record())
 				// Periodic runtime-health sample, amortised across cells.
 				if outcomeN.Add(1)%32 == 0 {
 					sampleRuntime()
 				}
 			}
-			// Cells that never ran (cancelled, quarantined, breaker) or
-			// were served from the run cache would poison the estimates;
-			// broken builds have no run time worth learning.
-			if out.Attempts > 0 && !out.RunCached && out.BuildErr == "" {
-				spec.History.Record(key, c.Kind.String(), out.BuildNanos, out.RunNanos, status)
-			}
+			out.Learn(spec.History)
 		}()
 		// Matrix shutdown: cells reached after cancellation never run.
 		if matrixCtx != nil && matrixCtx.Err() != nil {
@@ -534,6 +573,9 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 			if err := p.Load(img); err != nil {
 				return nil, err
 			}
+			var counts platform.EngineCounts // this attempt's own
+			runSpec.Counts = &counts
+			defer countEngine(spec.Metrics, &counts)
 			return p.Run(runSpec)
 		}
 		var res *platform.Result
@@ -796,28 +838,15 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 				}
 			}
 		}
-		// Simulator hot-path gauges: process-wide predecoded-fetch totals
-		// as of the end of this regression.
-		ps := predecode.GlobalStats()
-		spec.Metrics.Gauge("predecode.fetches").Set(int64(ps.Hits))
-		spec.Metrics.Gauge("predecode.slow").Set(int64(ps.Slow))
-		spec.Metrics.Gauge("predecode.pages_decoded").Set(int64(ps.PagesDecoded))
-		spec.Metrics.Gauge("predecode.pages_poisoned").Set(int64(ps.PagesPoisoned))
-		ts := translate.GlobalStats()
-		spec.Metrics.Gauge("translate.blocks_built").Set(int64(ts.Built))
-		spec.Metrics.Gauge("translate.blocks_executed").Set(int64(ts.Executed))
-		spec.Metrics.Gauge("translate.blocks_invalidated").Set(int64(ts.Invalidated))
-		spec.Metrics.Gauge("translate.fallback_exits").Set(int64(ts.Fallbacks))
 		if spec.Quarantine != nil {
 			spec.Metrics.Gauge("resilience.quarantine_size").Set(int64(spec.Quarantine.Size()))
 		}
 	}
 	sampleRuntime()
 	if spec.Journal != nil {
-		p, f, b := rep.Counts()
+		t := rep.tally()
 		end := journal.Record{
-			Kind: journal.KindEnd, Passed: p, Failed: f, Broken: b,
-			Flaky:  rep.CountFlaky(),
+			Kind: journal.KindEnd, Passed: t.Passed, Failed: t.Failed, Broken: t.Broken, Flaky: t.Flaky,
 			WallNs: time.Since(rep.Started).Nanoseconds(),
 		}
 		for _, o := range rep.Outcomes {
@@ -830,6 +859,19 @@ func Run(s *sysenv.System, label *release.SystemLabel, spec Spec) (*Report, erro
 		emit(end)
 	}
 	return rep, nil
+}
+
+// countEngine adds one run's engine counters to m.
+func countEngine(m *telemetry.Registry, n *platform.EngineCounts) {
+	if m == nil || *n == (platform.EngineCounts{}) {
+		return
+	}
+	m.Counter("predecode.fetches").Add(n.Fetches)
+	m.Counter("predecode.slow").Add(n.SlowFetches)
+	m.Counter("translate.blocks_built").Add(n.BlocksBuilt)
+	m.Counter("translate.blocks_executed").Add(n.BlocksExecuted)
+	m.Counter("translate.blocks_invalidated").Add(n.BlocksInvalidated)
+	m.Counter("translate.fallback_exits").Add(n.FallbackExits)
 }
 
 // cacheStats snapshots the spec's caches; an absent cache reads as zero.
@@ -866,30 +908,18 @@ func writeTriageFile(dir string, t *Triage) error {
 func (r *Report) BundleCells() []release.MatrixCell {
 	out := make([]release.MatrixCell, 0, len(r.Outcomes))
 	for _, o := range r.Outcomes {
-		status := "failed"
-		switch {
-		case o.BuildErr != "":
-			status = "broken"
-		case o.Flaky:
-			status = "flaky"
-		case o.Passed:
-			status = "passed"
-		}
-		detail := o.Detail
-		if o.BuildErr != "" {
-			detail = o.BuildErr
-		}
+		rec := o.Record()
 		out = append(out, release.MatrixCell{
-			Module:     o.Module,
-			Test:       o.Test,
-			Derivative: o.Derivative,
-			Platform:   o.Platform.String(),
-			Status:     status,
-			Reason:     string(o.Reason),
-			MboxResult: o.MboxResult,
-			Cycles:     o.Cycles,
-			Insts:      o.Insts,
-			Detail:     detail,
+			Module:     rec.Module,
+			Test:       rec.Test,
+			Derivative: rec.Deriv,
+			Platform:   rec.Platform,
+			Status:     rec.Status,
+			Reason:     rec.Reason,
+			MboxResult: rec.MboxResult,
+			Cycles:     rec.Cycles,
+			Insts:      rec.Insts,
+			Detail:     cmp.Or(rec.BuildErr, rec.Detail),
 		})
 	}
 	return out
@@ -907,17 +937,16 @@ func (r *Report) AllPassed() bool {
 
 // Counts returns (passed, failed, broken).
 func (r *Report) Counts() (passed, failed, broken int) {
+	t := r.tally()
+	return t.Passed, t.Failed, t.Broken
+}
+
+func (r *Report) tally() journal.Tally {
+	var t journal.Tally
 	for _, o := range r.Outcomes {
-		switch {
-		case o.BuildErr != "":
-			broken++
-		case o.Passed:
-			passed++
-		default:
-			failed++
-		}
+		t.Add(o.Status())
 	}
-	return
+	return t
 }
 
 // Failures lists the non-passing outcomes.
@@ -934,15 +963,7 @@ func (r *Report) Failures() []Outcome {
 // CountFlaky returns the number of flaky cells. Flaky cells count as
 // failed in Counts — a fail-then-pass is not a pass — so this is a
 // refinement of the failed bucket, not a fourth bucket.
-func (r *Report) CountFlaky() int {
-	n := 0
-	for _, o := range r.Outcomes {
-		if o.Flaky {
-			n++
-		}
-	}
-	return n
-}
+func (r *Report) CountFlaky() int { return r.tally().Flaky }
 
 // Summary renders a one-line result.
 func (r *Report) Summary() string {

@@ -95,6 +95,10 @@ func request(conn *Conn, req Request, onResult func(*Result)) (*Reply, error) {
 	if f.Type != FramePlan || f.Plan == nil {
 		return nil, fmt.Errorf("shard: expected plan, got %q", f.Type)
 	}
+	if f.Plan.Version != journal.Version {
+		return nil, fmt.Errorf("shard: daemon speaks journal version %d, this client %d",
+			f.Plan.Version, journal.Version)
+	}
 	// The merge lays cells out in dispatch order, so it must be absent
 	// or a permutation of the cell indices.
 	scheduled := make([]bool, len(f.Plan.Cells))
@@ -132,7 +136,7 @@ func request(conn *Conn, req Request, onResult func(*Result)) (*Reply, error) {
 					r.ID, reply.Plan.Cells[r.ID])
 			}
 			got[r.ID] = true
-			o, err := r.Outcome.ToRegress()
+			o, err := r.outcome(reply.Plan.Cells[r.ID])
 			if err != nil {
 				return nil, err
 			}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core/memo"
 	"repro/internal/core/regress"
 	"repro/internal/core/release"
-	"repro/internal/core/resilience"
 	"repro/internal/core/sysenv"
 	"repro/internal/core/vet"
 	"repro/internal/platform"
@@ -354,8 +353,9 @@ func (d *Daemon) handleConn(nc net.Conn) {
 // join registers and answers a worker's hello; the caller must run
 // serveMember on the member. A worker whose probe epoch disagrees with
 // the daemon's is refused at the door: every job it could run would fail
-// the per-job epoch check anyway. The wg.Add shares a lock with Close's
-// closed flag, so Close either waits for this member or refuses it.
+// the per-job epoch check anyway; so is one whose records would not read
+// back here (another journal version). The wg.Add shares a lock with
+// Close's closed flag, so Close either waits for this member or refuses it.
 func (d *Daemon) join(nc net.Conn, conn *Conn, h *Hello, name string) (*member, error) {
 	m := &member{name: name, nc: nc, conn: conn, ping: time.Duration(h.PingNs),
 		frames: make(chan Frame, 1), dead: make(chan struct{})}
@@ -371,6 +371,9 @@ func (d *Daemon) join(nc net.Conn, conn *Conn, h *Hello, name string) (*member, 
 	case h.Epoch != epoch:
 		err = fmt.Errorf("shard: epoch mismatch at registration: remote froze %s, daemon froze %s",
 			h.Epoch, epoch)
+	case h.Version != journal.Version:
+		err = fmt.Errorf("shard: journal version mismatch at registration: remote speaks %d, daemon %d",
+			h.Version, journal.Version)
 	default:
 		m.id = d.nextID
 		d.nextID++
@@ -449,7 +452,8 @@ func (m *member) readLoop() {
 // run sends one job to the member and waits for its result, bounded by
 // the heartbeat deadline the read loop enforces. A result for another
 // (request, cell) pair is an error too: with concurrent requests sharing
-// the pool, it must never be routed to the wrong request.
+// the pool, it must never be routed to the wrong request. So is one
+// without exactly one outcome record naming the job's cell.
 func (m *member) run(job *Job) (*Result, error) {
 	if err := m.conn.Write(Frame{Type: FrameJob, Job: job}); err != nil {
 		return nil, err
@@ -464,6 +468,9 @@ func (m *member) run(job *Job) (*Result, error) {
 		if f.Result.Req != job.Req || f.Result.ID != job.ID {
 			return nil, fmt.Errorf("shard: worker answered req %d cell %d, want req %d cell %d",
 				f.Result.Req, f.Result.ID, job.Req, job.ID)
+		}
+		if _, err := f.Result.outcome(job.Cell); err != nil {
+			return nil, err
 		}
 		f.Result.Worker = m.id
 		return f.Result, nil
@@ -548,7 +555,7 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 		return
 	}
 	start := time.Now()
-	plan, keys, kindNames, err := d.plan(req)
+	plan, err := d.plan(req)
 	if err != nil {
 		fail(err)
 		return
@@ -586,31 +593,14 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 			}
 		}
 	}()
-	var done Done
+	var tally journal.Tally
 	for received := 0; received < len(order); received++ {
 		res := <-results
-		o := res.Outcome
-		switch {
-		case o.BuildErr != "":
-			done.Broken++
-		case o.Passed:
-			done.Passed++
-		default:
-			done.Failed++
-		}
-		if o.Flaky {
-			done.Flaky++
-		}
-		if d.History != nil && o.Attempts > 0 && !o.RunCached && o.BuildErr == "" {
-			status := journal.StatusFailed
-			switch {
-			case o.Flaky:
-				status = journal.StatusFlaky
-			case o.Passed:
-				status = journal.StatusPassed
-			}
-			d.History.Record(keys[res.ID], kindNames[res.ID], o.BuildNanos, o.RunNanos, status)
-		}
+		// member.run vouches for a worker's result, and brokenResult
+		// builds well-formed ones, so every result here reads back.
+		o, _ := res.outcome(plan.Cells[res.ID])
+		tally.Add(o.Status())
+		o.Learn(d.History)
 		if err := conn.Write(Frame{Type: FrameResult, Result: res}); err != nil {
 			d.logf("write result: %v", err)
 		}
@@ -620,7 +610,8 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 			d.logf("history save: %v", err)
 		}
 	}
-	done.WallNs = time.Since(start).Nanoseconds()
+	done := Done{Passed: tally.Passed, Failed: tally.Failed, Broken: tally.Broken, Flaky: tally.Flaky,
+		WallNs: time.Since(start).Nanoseconds()}
 	if err := conn.Write(Frame{Type: FrameDone, Done: &done}); err != nil {
 		d.logf("write done: %v", err)
 	}
@@ -629,32 +620,31 @@ func (d *Daemon) handleRequest(conn *Conn, req *Request) {
 }
 
 // plan is the matrix-level setup of one request: resolve names, freeze,
-// preflight, enumerate, order. keys and kindNames are each cell's
-// history key and platform name, in plan order.
-func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err error) {
+// preflight, enumerate, order.
+func (d *Daemon) plan(req *Request) (*Plan, error) {
 	var derivs []*derivative.Derivative
 	for _, name := range req.Derivs {
 		dv, err := derivative.ByName(name)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		derivs = append(derivs, dv)
 	}
 	var kinds []platform.Kind
 	for _, name := range req.Platforms {
-		k, err := ParseKind(name)
+		k, err := platform.ParseKind(name)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		kinds = append(kinds, k)
 	}
 	if _, err := platform.ParseEngine(req.Engine); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	sys := d.NewSystem()
 	label, err := d.freeze(req.Label, sys)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if !req.SkipVet {
 		opts := vet.NewOptions()
@@ -662,7 +652,7 @@ func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err e
 			opts.Derivatives = derivs
 		}
 		if _, err := release.Preflight(sys, label, opts); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	cells, err := regress.EnumerateCells(sys, regress.Spec{
@@ -670,36 +660,25 @@ func (d *Daemon) plan(req *Request) (plan *Plan, keys, kindNames []string, err e
 		Modules: req.Modules, Tests: req.Tests,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	plan = &Plan{
-		Label: req.Label, Epoch: label.Epoch(), Workers: d.PoolSize(),
-		Cells: make([]CellID, len(cells)),
+	plan := &Plan{
+		Version: journal.Version, Label: req.Label, Epoch: label.Epoch(), Workers: d.PoolSize(),
+		Cells:    make([]CellID, len(cells)),
+		Dispatch: regress.HistoryOrder(d.History, cells),
 	}
-	keys = make([]string, len(cells))
-	kindNames = make([]string, len(cells))
 	for i, c := range cells {
 		plan.Cells[i] = CellID{Module: c.Module, Test: c.Test,
 			Deriv: c.Deriv.Name, Platform: c.Kind.String()}
-		keys[i] = resilience.CellKey(c.Module, c.Test, c.Deriv.Name, c.Kind)
-		kindNames[i] = c.Kind.String()
 	}
-	if d.History != nil {
-		plan.Dispatch = d.History.Order(keys, kindNames)
-	}
-	return plan, keys, kindNames, nil
+	return plan, nil
 }
 
-// brokenResult manufactures the deterministic outcome for a cell whose
-// worker died under it, with a synthesized outcome record so the merged
+// brokenResult answers a job with a broken outcome record naming its
+// cell, whether its worker died under it or refused it, so the merged
 // flight record still closes every cell.
 func brokenResult(worker int, job *Job, msg string) *Result {
 	return &Result{ID: job.ID, Req: job.Req, Worker: worker,
-		Outcome: Outcome{
-			Module: job.Cell.Module, Test: job.Cell.Test,
-			Derivative: job.Cell.Deriv, Platform: job.Cell.Platform,
-			BuildErr: msg,
-		},
 		Records: []journal.Record{{
 			Kind: journal.KindOutcome, Module: job.Cell.Module, Test: job.Cell.Test,
 			Deriv: job.Cell.Deriv, Platform: job.Cell.Platform,

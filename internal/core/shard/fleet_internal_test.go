@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core/journal"
 )
 
 // newTestMember wires a pool member around one end of a net.Pipe and
@@ -15,6 +17,23 @@ func newTestMember(name string, ping time.Duration) (*member, net.Conn) {
 	m := &member{name: name, nc: server, conn: NewConn(server, server),
 		ping: ping, frames: make(chan Frame, 1), dead: make(chan struct{})}
 	return m, client
+}
+
+// outcomeRecord is the passing outcome record a worker sends for cell.
+func outcomeRecord(cell CellID) journal.Record {
+	return journal.Record{Kind: journal.KindOutcome, Module: cell.Module, Test: cell.Test,
+		Deriv: cell.Deriv, Platform: cell.Platform, Status: journal.StatusPassed}
+}
+
+// buildErr reads a result's cell outcome back and returns its build
+// error, failing the test when the result does not read back.
+func buildErr(t *testing.T, res *Result, cell CellID) string {
+	t.Helper()
+	o, err := res.outcome(cell)
+	if err != nil {
+		t.Fatalf("result does not read back: %v", err)
+	}
+	return o.BuildErr
 }
 
 // TestRemoteDeadlineBreaksInFlightCell: a machine that takes a job and
@@ -43,8 +62,8 @@ func TestRemoteDeadlineBreaksInFlightCell(t *testing.T) {
 		if res.ID != 7 || res.Req != 3 {
 			t.Fatalf("broken result routed to wrong cell: %+v", res)
 		}
-		if !strings.Contains(res.Outcome.BuildErr, "worker lost") {
-			t.Fatalf("outcome = %q, want a worker-lost breakage", res.Outcome.BuildErr)
+		if msg := buildErr(t, res, job.Cell); !strings.Contains(msg, "worker lost") {
+			t.Fatalf("outcome = %q, want a worker-lost breakage", msg)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cell never broke: heartbeat deadline did not fire")
@@ -83,16 +102,16 @@ func TestRemoteHeartbeatKeepsLongCellAlive(t *testing.T) {
 		}
 		fc.Write(Frame{Type: FrameResult, Result: &Result{
 			ID: f.Job.ID, Req: f.Job.Req, Worker: 9,
-			Outcome: Outcome{Module: "M", Test: "T", Derivative: "d",
-				Platform: "golden", Passed: true},
+			Records: []journal.Record{outcomeRecord(f.Job.Cell)},
 		}})
 	}()
 	results := make(chan *Result, 1)
-	d.queue <- &task{job: &Job{ID: 1, Req: 2, Cell: CellID{Module: "M", Test: "T"}}, done: results}
+	cell := CellID{Module: "M", Test: "T", Deriv: "d", Platform: "golden"}
+	d.queue <- &task{job: &Job{ID: 1, Req: 2, Cell: cell}, done: results}
 	select {
 	case res := <-results:
-		if res.Outcome.BuildErr != "" || !res.Outcome.Passed {
-			t.Fatalf("long cell on a pinging machine broke: %+v", res.Outcome)
+		if msg := buildErr(t, res, cell); msg != "" {
+			t.Fatalf("long cell on a pinging machine broke: %s", msg)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("result never arrived")
@@ -102,36 +121,53 @@ func TestRemoteHeartbeatKeepsLongCellAlive(t *testing.T) {
 }
 
 // TestRemoteMisroutedResultPoisonsWorker: a worker that echoes the
-// wrong (request, cell) pair has desynced its stream; the daemon must
-// break the cell rather than route the stray result to some request.
+// wrong (request, cell) pair has desynced its stream, and one whose
+// result does not carry exactly one outcome record naming its cell sent
+// no cell result at all. The daemon must break the cell and drop the
+// worker rather than route or count the stray result.
 func TestRemoteMisroutedResultPoisonsWorker(t *testing.T) {
-	d := &Daemon{Logf: t.Logf}
-	d.queue = make(chan *task)
-	d.quit = make(chan struct{})
-	m, far := newTestMember("desynced", 50*time.Millisecond)
-	defer far.Close()
-	d.wg.Add(1)
-	go d.serveMember(m)
-	go func() {
-		fc := NewConn(far, far)
-		if f, err := fc.Read(); err == nil && f.Type == FrameJob {
-			fc.Write(Frame{Type: FrameResult, Result: &Result{
-				ID: f.Job.ID + 1, Req: f.Job.Req, Worker: 9,
-				Outcome: Outcome{Passed: true},
-			}})
-		}
-	}()
-	results := make(chan *Result, 1)
-	d.queue <- &task{job: &Job{ID: 4, Req: 8, Cell: CellID{Module: "M", Test: "T"}}, done: results}
-	select {
-	case res := <-results:
-		if !strings.Contains(res.Outcome.BuildErr, "worker lost") {
-			t.Fatalf("misrouted result was not treated as a lost worker: %+v", res.Outcome)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cell never broke on the desynced stream")
+	cell := CellID{Module: "M", Test: "T", Deriv: "d", Platform: "golden"}
+	other := CellID{Module: "M", Test: "T2", Deriv: "d", Platform: "golden"}
+	for _, c := range []struct {
+		name    string
+		idShift int
+		records []journal.Record
+	}{
+		{"misrouted", 1, []journal.Record{outcomeRecord(cell)}},
+		{"no outcome record", 0, []journal.Record{{Kind: journal.KindStart, Module: "M", Test: "T",
+			Deriv: "d", Platform: "golden", Attempt: 1}}},
+		{"two outcome records", 0, []journal.Record{outcomeRecord(cell), outcomeRecord(cell)}},
+		{"another cell's outcome", 0, []journal.Record{outcomeRecord(other)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := &Daemon{Logf: t.Logf}
+			d.queue = make(chan *task)
+			d.quit = make(chan struct{})
+			m, far := newTestMember("desynced", 50*time.Millisecond)
+			defer far.Close()
+			d.wg.Add(1)
+			go d.serveMember(m)
+			go func() {
+				fc := NewConn(far, far)
+				if f, err := fc.Read(); err == nil && f.Type == FrameJob {
+					fc.Write(Frame{Type: FrameResult, Result: &Result{
+						ID: f.Job.ID + c.idShift, Req: f.Job.Req, Worker: 9, Records: c.records,
+					}})
+				}
+			}()
+			results := make(chan *Result, 1)
+			d.queue <- &task{job: &Job{ID: 4, Req: 8, Cell: cell}, done: results}
+			select {
+			case res := <-results:
+				if msg := buildErr(t, res, cell); !strings.Contains(msg, "worker lost") {
+					t.Fatalf("stray result was not treated as a lost worker: %q", msg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cell never broke on the desynced stream")
+			}
+			d.wg.Wait()
+		})
 	}
-	d.wg.Wait()
 }
 
 // memBackend is an in-memory Backend for store-channel tests.

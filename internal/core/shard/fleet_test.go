@@ -14,6 +14,7 @@ import (
 	"repro/internal/core/content"
 	"repro/internal/core/journal"
 	"repro/internal/core/regress"
+	"repro/internal/core/release"
 	"repro/internal/core/shard"
 	"repro/internal/platform"
 )
@@ -66,7 +67,7 @@ func serialReference(t *testing.T, label string, modules, plats []string) (*regr
 	sl := freeze(t, label, sys)
 	var kinds []platform.Kind
 	for _, p := range plats {
-		k, err := shard.ParseKind(p)
+		k, err := platform.ParseKind(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +357,7 @@ func fakeDaemon(t *testing.T, script func(conn *shard.Conn, req *shard.Request))
 // twoCellPlan is the scripted plan the protocol-violation tests share.
 func twoCellPlan(label string) *shard.Plan {
 	return &shard.Plan{
-		Label: label, Epoch: "e", Workers: 1,
+		Version: journal.Version, Label: label, Epoch: "e", Workers: 1,
 		Cells: []shard.CellID{
 			{Module: "A", Test: "T1", Deriv: "d", Platform: "golden"},
 			{Module: "A", Test: "T2", Deriv: "d", Platform: "golden"},
@@ -364,10 +365,91 @@ func twoCellPlan(label string) *shard.Plan {
 	}
 }
 
+// outcomeRecord is the passing outcome record of a twoCellPlan cell.
+func outcomeRecord(test string) journal.Record {
+	return journal.Record{Kind: journal.KindOutcome, Module: "A", Test: test,
+		Deriv: "d", Platform: "golden", Status: journal.StatusPassed}
+}
+
 func cellResult(id int, test string) *shard.Result {
-	return &shard.Result{ID: id, Outcome: shard.Outcome{
-		Module: "A", Test: test, Derivative: "d", Platform: "golden", Passed: true,
-	}}
+	return &shard.Result{ID: id, Records: []journal.Record{outcomeRecord(test)}}
+}
+
+// TestMalformedResultRejected: a result is its records, and exactly one
+// of them must be the outcome record of the result's cell. A result
+// without one, with two, or with another cell's must fail the stream —
+// there is no cell outcome to read back from it.
+func TestMalformedResultRejected(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		records []journal.Record
+		want    string
+	}{
+		{"no outcome record", []journal.Record{{Kind: journal.KindStart, Module: "A", Test: "T1",
+			Deriv: "d", Platform: "golden", Attempt: 1}}, "no outcome record"},
+		{"two outcome records", []journal.Record{outcomeRecord("T1"), outcomeRecord("T1")}, "two outcome records"},
+		{"another cell's outcome", []journal.Record{outcomeRecord("T2")}, "carries the outcome of"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			addr := fakeDaemon(t, func(conn *shard.Conn, req *shard.Request) {
+				conn.Write(shard.Frame{Type: shard.FramePlan, Plan: twoCellPlan(req.Label)})
+				conn.Write(shard.Frame{Type: shard.FrameResult, Result: &shard.Result{ID: 0, Records: c.records}})
+				conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(1, "T2")})
+				conn.Write(shard.Frame{Type: shard.FrameDone, Done: &shard.Done{Passed: 2}})
+			})
+			_, err := shard.Regress(addr, shard.Request{Label: "malformed"}, nil)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want a rejection containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestVersionMismatchRefused: records-only results are journal version
+// 2. A worker whose hello names another journal version must be refused
+// at the door even when its content epoch matches — its outcome records
+// would not read back as the daemon's do — and a client must refuse a
+// plan from a daemon speaking another version.
+func TestVersionMismatchRefused(t *testing.T) {
+	addr, d := startFleetDaemon(t, 1, nil)
+	probe, err := release.Freeze(shard.HelloLabel, content.PortedSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := shard.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	conn := shard.NewConn(nc, nc)
+	if err := conn.Write(shard.Frame{Type: shard.FrameHello, Hello: &shard.Hello{
+		Role: shard.RoleWorker, Name: "old", Version: journal.Version - 1, Epoch: probe.Epoch(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := conn.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != shard.FrameError || !strings.Contains(f.Error, "journal version mismatch") {
+		t.Fatalf("handshake answer = %+v, want a version refusal", f)
+	}
+	if d.PoolSize() != 1 {
+		t.Fatalf("old worker joined the pool: size %d", d.PoolSize())
+	}
+
+	old := fakeDaemon(t, func(conn *shard.Conn, req *shard.Request) {
+		plan := twoCellPlan(req.Label)
+		plan.Version = journal.Version - 1
+		conn.Write(shard.Frame{Type: shard.FramePlan, Plan: plan})
+		conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(0, "T1")})
+		conn.Write(shard.Frame{Type: shard.FrameResult, Result: cellResult(1, "T2")})
+		conn.Write(shard.Frame{Type: shard.FrameDone, Done: &shard.Done{Passed: 2}})
+	})
+	if _, err := shard.Regress(old, shard.Request{Label: "old"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "journal version") {
+		t.Fatalf("err = %v, want a version refusal", err)
+	}
 }
 
 // TestDuplicateResultRejected: a second result frame for the same cell

@@ -4,6 +4,9 @@
 // streamed results into the same report and flight record the
 // in-process pool produces.
 //
+// A cell's result travels as its journal records alone: the daemon's
+// tally and the client's report read it back from its one outcome record.
+//
 // The protocol is JSONL frames over any byte stream — a unix or TCP
 // socket between client and daemon, a TCP socket between the daemon and
 // a remote worker, and a socket pair (the worker's stdin and stdout)
@@ -12,14 +15,15 @@
 //
 //	client → daemon:  request
 //	daemon → client:  plan, result*, done   (or error)
-//	worker → daemon:  hello{role,epoch,ping}, then ping* interleaved with result*
+//	worker → daemon:  hello{role,version,epoch,ping}, then ping* interleaved with result*
 //	daemon → worker:  welcome{epoch} (or error, and close), then job*
 //
 // Every worker, local process or remote machine, registers the same way:
-// its hello carries the epoch of a frozen probe label, checked at the
-// door, and its pings let the daemon tell a long-running cell from a
-// lost worker. A hello with role "store" instead opens a fetch-through
-// channel to the daemon's persistent artifact store:
+// its hello carries its journal version and the epoch of a frozen probe
+// label, both checked at the door (a client checks a plan's version), and
+// its pings let the daemon tell a long-running cell from a lost worker.
+// A hello with role "store" instead opens a fetch-through channel to the
+// daemon's persistent artifact store:
 //
 //	store:            hello{role}, welcome, then store-get/store-put in, store-data out
 //
@@ -38,12 +42,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"repro/internal/core/journal"
 	"repro/internal/core/regress"
-	"repro/internal/platform"
 )
 
 // Frame type tags.
@@ -108,8 +110,10 @@ type Frame struct {
 type Hello struct {
 	Role string `json:"role"`
 	// Name identifies the worker in daemon logs.
-	Name  string `json:"name,omitempty"`
-	Epoch string `json:"epoch,omitempty"`
+	Name string `json:"name,omitempty"`
+	// Version is the journal.Version of the worker's result records.
+	Version int    `json:"version,omitempty"`
+	Epoch   string `json:"epoch,omitempty"`
 	// PingNs is the heartbeat interval the worker commits to. The
 	// daemon declares the worker dead after missing several of them.
 	PingNs int64 `json:"ping_ns,omitempty"`
@@ -167,10 +171,12 @@ func (c CellID) String() string {
 }
 
 // Plan is the daemon's answer to a request, sent before any cell runs:
-// the frozen epoch, the worker count, the deterministic cell
-// enumeration, and the dispatch permutation (longest-expected-first
-// when the daemon's history store is warm, identity when cold).
+// the journal format version of the results to come, the frozen epoch,
+// the worker count, the deterministic cell enumeration, and the dispatch
+// permutation (longest-expected-first when the daemon's history store is
+// warm, identity when cold).
 type Plan struct {
+	Version  int      `json:"version"`
 	Label    string   `json:"label"`
 	Epoch    string   `json:"epoch"`
 	Workers  int      `json:"workers"`
@@ -211,62 +217,9 @@ type Job struct {
 	Engine          string `json:"engine,omitempty"`
 }
 
-// Outcome is the wire form of regress.Outcome: platform kind and stop
-// reason as strings, wall-clock fields included (the report renders
-// them; the masked journal strips them).
-type Outcome struct {
-	Module     string `json:"module"`
-	Test       string `json:"test"`
-	Derivative string `json:"deriv"`
-	Platform   string `json:"platform"`
-	Passed     bool   `json:"passed"`
-	Reason     string `json:"reason,omitempty"`
-	MboxResult uint32 `json:"mbox_result,omitempty"`
-	Cycles     uint64 `json:"cycles,omitempty"`
-	Insts      uint64 `json:"insts,omitempty"`
-	BuildNanos int64  `json:"build_ns,omitempty"`
-	RunNanos   int64  `json:"run_ns,omitempty"`
-	BuildErr   string `json:"build_err,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-	RunCached  bool   `json:"run_cached,omitempty"`
-	Attempts   int    `json:"attempts,omitempty"`
-	Flaky      bool   `json:"flaky,omitempty"`
-}
-
-// FromOutcome converts a matrix outcome to its wire form.
-func FromOutcome(o regress.Outcome) Outcome {
-	return Outcome{
-		Module: o.Module, Test: o.Test, Derivative: o.Derivative,
-		Platform: o.Platform.String(),
-		Passed:   o.Passed, Reason: string(o.Reason),
-		MboxResult: o.MboxResult, Cycles: o.Cycles, Insts: o.Insts,
-		BuildNanos: o.BuildNanos, RunNanos: o.RunNanos,
-		BuildErr: o.BuildErr, Detail: o.Detail,
-		RunCached: o.RunCached, Attempts: o.Attempts, Flaky: o.Flaky,
-	}
-}
-
-// ToRegress converts a wire outcome back to the matrix form.
-func (o Outcome) ToRegress() (regress.Outcome, error) {
-	k, err := ParseKind(o.Platform)
-	if err != nil {
-		return regress.Outcome{}, err
-	}
-	return regress.Outcome{
-		Module: o.Module, Test: o.Test, Derivative: o.Derivative,
-		Platform: k,
-		Passed:   o.Passed, Reason: platform.StopReason(o.Reason),
-		MboxResult: o.MboxResult, Cycles: o.Cycles, Insts: o.Insts,
-		BuildNanos: o.BuildNanos, RunNanos: o.RunNanos,
-		BuildErr: o.BuildErr, Detail: o.Detail,
-		RunCached: o.RunCached, Attempts: o.Attempts, Flaky: o.Flaky,
-	}, nil
-}
-
-// Result reports one completed cell: the outcome plus the cell's
-// journal records (start/cache-hit/outcome and any retries), each
-// stamped with the worker's local sequence — the (worker, seq) pair the
-// client merges by.
+// Result reports one completed cell as its journal records
+// (start/cache-hit/outcome and any retries), each stamped with the
+// worker's local sequence — the (worker, seq) pair the client merges by.
 type Result struct {
 	ID int `json:"id"`
 	// Req echoes the job's request ID (see Job.Req).
@@ -274,8 +227,30 @@ type Result struct {
 	// Worker is the pool-unique ID the daemon assigned the worker that
 	// ran the cell (-1 for a cell no worker ran).
 	Worker  int              `json:"worker"`
-	Outcome Outcome          `json:"outcome"`
 	Records []journal.Record `json:"records,omitempty"`
+}
+
+// outcome reads the cell's outcome back from the result's records, which
+// must hold exactly one outcome record, naming cell.
+func (r *Result) outcome(cell CellID) (regress.Outcome, error) {
+	var rec *journal.Record
+	for i := range r.Records {
+		if r.Records[i].Kind != journal.KindOutcome {
+			continue
+		}
+		if rec != nil {
+			return regress.Outcome{}, fmt.Errorf("shard: result for cell %d carries two outcome records", r.ID)
+		}
+		rec = &r.Records[i]
+	}
+	switch {
+	case rec == nil:
+		return regress.Outcome{}, fmt.Errorf("shard: result for cell %d carries no outcome record", r.ID)
+	case rec.CellID() != cell.String():
+		return regress.Outcome{}, fmt.Errorf("shard: result for cell %d (%s) carries the outcome of %q",
+			r.ID, cell, rec.CellID())
+	}
+	return regress.OutcomeFromRecord(*rec)
 }
 
 // Done closes a daemon's result stream with the verdict counts.
@@ -285,19 +260,6 @@ type Done struct {
 	Broken int   `json:"broken"`
 	Flaky  int   `json:"flaky"`
 	WallNs int64 `json:"wall_ns"`
-}
-
-// ParseKind resolves a platform-kind name from the wire. Every kind on
-// the ladder parses, registered on this build or not — registration is
-// checked where the platform is instantiated.
-func ParseKind(name string) (platform.Kind, error) {
-	for _, k := range []platform.Kind{platform.KindGolden, platform.KindRTL,
-		platform.KindGate, platform.KindEmulator, platform.KindBondout, platform.KindSilicon} {
-		if strings.EqualFold(k.String(), name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("shard: unknown platform kind %q", name)
 }
 
 // Conn frames JSONL messages over a byte stream. Writes are mutexed so

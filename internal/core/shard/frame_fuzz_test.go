@@ -13,14 +13,15 @@ import (
 // dispatch as a fresh connection. None of them may panic or hang.
 func FuzzFrame(f *testing.F) {
 	cell := `{"module":"A","test":"T","deriv":"d","platform":"golden"}`
+	plan := `{"type":"plan","plan":{"version":2,"label":"x","epoch":"e","workers":1,"cells":[` + cell + `]}}` + "\n"
+	outcome := `{"kind":"outcome","module":"A","test":"T","deriv":"d","platform":"golden","status":"passed"}`
 	for _, seed := range []string{
 		"",
 		"not json\n",
-		`{"type":"plan","plan":{"label":"x","epoch":"e","workers":1,"cells":[` + cell + `]}}` + "\n" +
-			`{"type":"ping"}` + "\n" +
-			`{"type":"result","result":{"id":0,"outcome":` + cell + `}}` + "\n" +
+		plan + `{"type":"ping"}` + "\n" +
+			`{"type":"result","result":{"id":0,"records":[{"kind":"start","module":"A"}]}}` + "\n" +
 			`{"type":"done","done":{"passed":1}}` + "\n",
-		`{"type":"plan","plan":{"cells":[` + cell + `],"dispatch":[3]}}` + "\n" +
+		`{"type":"plan","plan":{"version":2,"cells":[` + cell + `],"dispatch":[3]}}` + "\n" +
 			`{"type":"done"}` + "\n",
 		`{"type":"error","error":"refused"}` + "\n",
 		`{"type":"request","request":{"label":"x"}}` + "\n",
@@ -28,6 +29,11 @@ func FuzzFrame(f *testing.F) {
 		`{"type":"hello","hello":{"role":"store"}}` + "\n" +
 			`{"type":"store-put","store":{"key":"k","data":"AA==","sum":"x"}}` + "\n" +
 			`{"type":"store-get","store":{"key":"k"}}` + "\n" + `{"type":"job"}` + "\n",
+		plan + `{"type":"result","result":{"id":0,"records":[` + outcome + `]}}` + "\n" +
+			`{"type":"done","done":{"passed":1}}` + "\n",
+		plan + `{"type":"result","result":{"id":0,"records":[]}}` + "\n" + `{"type":"done","done":{"passed":1}}` + "\n",
+		plan + `{"type":"result","result":{"id":0,"records":[` + outcome + `,` + outcome + `]}}` + "\n" +
+			`{"type":"done","done":{"passed":1}}` + "\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -17,12 +17,12 @@ func TestDaemonAnalysesEachEpochOnce(t *testing.T) {
 	d := &Daemon{NewSystem: func() *sysenv.System { return sys() }}
 	req := &Request{Label: "SYSREG_WARM", Engine: "translate"}
 
-	first, _, _, err := d.plan(req)
+	first, err := d.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := d.label
-	second, _, _, err := d.plan(req)
+	second, err := d.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDaemonAnalysesEachEpochOnce(t *testing.T) {
 		e.MustAddTest(env.TestCell{ID: "TEST_NVM_AGAIN", Source: e.Tests()[0].Source})
 		return s
 	}
-	third, _, _, err := d.plan(req)
+	third, err := d.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}

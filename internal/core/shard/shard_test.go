@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -128,8 +129,9 @@ func TestFrameRoundtrip(t *testing.T) {
 		{Type: shard.FramePlan, Plan: &shard.Plan{Label: "r1", Epoch: "e", Workers: 2,
 			Cells: []shard.CellID{{Module: "NVM", Test: "T", Deriv: "SC88-A", Platform: "golden"}}}},
 		{Type: shard.FrameResult, Result: &shard.Result{ID: 0, Worker: 1,
-			Outcome: shard.Outcome{Module: "NVM", Test: "T", Derivative: "SC88-A", Platform: "golden", Passed: true},
-			Records: []journal.Record{{Kind: journal.KindStart, Module: "NVM", Seq: 7}}}},
+			Records: []journal.Record{{Kind: journal.KindStart, Module: "NVM", Seq: 7},
+				{Kind: journal.KindOutcome, Module: "NVM", Test: "T", Deriv: "SC88-A", Platform: "golden",
+					Status: journal.StatusPassed, Seq: 8}}}},
 		{Type: shard.FrameDone, Done: &shard.Done{Passed: 1}},
 		{Type: shard.FrameError, Error: "boom"},
 	}
@@ -155,18 +157,65 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, name := range []string{"golden", "rtl", "gate", "emulator", "bondout", "silicon"} {
-		k, err := shard.ParseKind(name)
-		if err != nil {
+// TestWorkerRefusalClosesCell: a job the worker refuses — content drift
+// or a cell it cannot name — is answered as the daemon answers a lost
+// worker's cell, with exactly one broken outcome record naming the cell,
+// so the merged flight record closes it too.
+func TestWorkerRefusalClosesCell(t *testing.T) {
+	label, err := release.Freeze("refusals", content.PortedSystem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemonSide, workerSide := net.Pipe()
+	defer daemonSide.Close()
+	served := make(chan error, 1)
+	go func() {
+		served <- shard.RunWorker(workerSide, workerSide, shard.WorkerOptions{NewSystem: content.PortedSystem})
+	}()
+	conn := shard.NewConn(daemonSide, daemonSide)
+	if f, err := conn.Read(); err != nil || f.Type != shard.FrameHello {
+		t.Fatalf("worker opened with %+v, %v; want its hello", f, err)
+	}
+	if err := conn.Write(shard.Frame{Type: shard.FrameWelcome, Welcome: &shard.Welcome{}}); err != nil {
+		t.Fatal(err)
+	}
+	cell := shard.CellID{Module: "SECURITY", Test: "TEST_SEC_MPU_BLOCKS", Deriv: "SC88-A", Platform: "golden"}
+	unknown := cell
+	unknown.Deriv = "SC88-Z"
+	for i, c := range []struct {
+		name string
+		job  shard.Job
+		want string
+	}{
+		{"wrong epoch", shard.Job{Label: "refusals", Epoch: "not-the-epoch", Cell: cell}, "epoch drift"},
+		{"unknown derivative", shard.Job{Label: "refusals", Epoch: label.Epoch(), Cell: unknown}, "SC88-Z"},
+	} {
+		c.job.ID, c.job.Req = i, 7
+		if err := conn.Write(shard.Frame{Type: shard.FrameJob, Job: &c.job}); err != nil {
 			t.Fatal(err)
 		}
-		if k.String() != name {
-			t.Fatalf("ParseKind(%q).String() = %q", name, k)
+		f, err := conn.Read()
+		for err == nil && f.Type == shard.FramePing {
+			f, err = conn.Read()
+		}
+		if err != nil || f.Type != shard.FrameResult {
+			t.Fatalf("%s: worker answered %+v, %v; want a result", c.name, f, err)
+		}
+		r := f.Result
+		if r.ID != i || r.Req != 7 || len(r.Records) != 1 {
+			t.Fatalf("%s: result id %d req %d with %d records, want id %d req 7 with one record",
+				c.name, r.ID, r.Req, len(r.Records), i)
+		}
+		rec := r.Records[0]
+		if rec.Kind != journal.KindOutcome || rec.Status != journal.StatusBroken ||
+			rec.CellID() != c.job.Cell.String() || !strings.Contains(rec.BuildErr, c.want) {
+			t.Fatalf("%s: record %+v, want a broken outcome of %s mentioning %q",
+				c.name, rec, c.job.Cell, c.want)
 		}
 	}
-	if _, err := shard.ParseKind("abacus"); err == nil {
-		t.Fatal("unknown kind parsed")
+	daemonSide.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("worker after hang-up: %v", err)
 	}
 }
 
@@ -229,13 +278,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 	// The serial reference: same frozen spec, in-process, one worker.
 	sys := content.PortedSystem()
 	label := freeze(t, "shard-vs-serial", sys)
-	golden, _ := shard.ParseKind("golden")
-	emulator, _ := shard.ParseKind("emulator")
 	var serialBuf bytes.Buffer
 	jw := journal.NewWriter(&serialBuf)
 	serial, err := regress.Run(sys, label, regress.Spec{
 		Modules: []string{"UART"},
-		Kinds:   []platform.Kind{golden, emulator},
+		Kinds:   []platform.Kind{platform.KindGolden, platform.KindEmulator},
 		SkipVet: true,
 		Journal: jw,
 	})

@@ -68,12 +68,12 @@ func RunWorker(r io.Reader, w io.Writer, opts WorkerOptions) error {
 }
 
 // work is the worker loop behind RunWorker and ConnectWorker. Its hello
-// carries the frozen probe epoch, so content drift fails at registration
-// rather than per job; heartbeats flow from a side goroutine even while a
-// cell runs, so the daemon can tell a long cell from a lost worker.
-// Cell-level failures — epoch drift, unknown derivative, build errors —
-// are reported in-band as broken outcomes; only protocol failures return
-// an error.
+// carries the journal version and the frozen probe epoch, so format or
+// content drift fails at registration rather than per job; heartbeats
+// flow from a side goroutine even while a cell runs, so the daemon can
+// tell a long cell from a lost worker. Cell-level failures — epoch drift,
+// unknown derivative, build errors — are reported in-band as broken
+// outcomes; only protocol failures return an error.
 func work(conn *Conn, opts WorkerOptions, name string, ping time.Duration) error {
 	wk, err := newWorker(opts)
 	if err != nil {
@@ -84,7 +84,7 @@ func work(conn *Conn, opts WorkerOptions, name string, ping time.Duration) error
 		return fmt.Errorf("shard: freeze probe label: %w", err)
 	}
 	if err := handshakeHello(conn, &Hello{
-		Role: RoleWorker, Name: name, Epoch: probe.Epoch(), PingNs: int64(ping),
+		Role: RoleWorker, Name: name, Version: journal.Version, Epoch: probe.Epoch(), PingNs: int64(ping),
 	}); err != nil {
 		return err
 	}
@@ -148,17 +148,10 @@ func (wk *worker) freeze(name string) (*release.SystemLabel, error) {
 // run executes one cell job. The cell goes through regress.Run itself —
 // a one-cell matrix with the vet gate skipped (the daemon ran it once
 // for the whole request) — so enumeration, caching, journal emission,
-// and outcome semantics cannot drift from the in-process path.
+// and outcome semantics cannot drift from the in-process path. A refused
+// job gets the daemon's answer for a lost worker's cell (brokenResult).
 func (wk *worker) run(job *Job) *Result {
-	res := &Result{ID: job.ID, Req: job.Req}
-	broken := func(msg string) *Result {
-		res.Outcome = Outcome{
-			Module: job.Cell.Module, Test: job.Cell.Test,
-			Derivative: job.Cell.Deriv, Platform: job.Cell.Platform,
-			BuildErr: msg,
-		}
-		return res
-	}
+	broken := func(msg string) *Result { return brokenResult(-1, job, msg) }
 	label, err := wk.freeze(job.Label)
 	if err != nil {
 		return broken("freeze: " + err.Error())
@@ -173,7 +166,7 @@ func (wk *worker) run(job *Job) *Result {
 	if err != nil {
 		return broken(err.Error())
 	}
-	k, err := ParseKind(job.Cell.Platform)
+	k, err := platform.ParseKind(job.Cell.Platform)
 	if err != nil {
 		return broken(err.Error())
 	}
@@ -181,6 +174,7 @@ func (wk *worker) run(job *Job) *Result {
 	if err != nil {
 		return broken(err.Error())
 	}
+	res := &Result{ID: job.ID, Req: job.Req}
 	spec := regress.Spec{
 		Modules:     []string{job.Cell.Module},
 		Tests:       []string{job.Cell.Test},
@@ -215,6 +209,5 @@ func (wk *worker) run(job *Job) *Result {
 	if len(rep.Outcomes) != 1 {
 		return broken(fmt.Sprintf("one-cell run produced %d outcomes", len(rep.Outcomes)))
 	}
-	res.Outcome = FromOutcome(rep.Outcomes[0])
 	return res
 }

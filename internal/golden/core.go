@@ -16,6 +16,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/predecode"
 	"repro/internal/soc"
+	"repro/internal/translate"
 )
 
 // StepOutcome tells the run loop what a step did.
@@ -169,14 +170,17 @@ func (c *Core) LoadImage(img *obj.Image) error {
 	return nil
 }
 
-// FlushPredecodeStats folds this core's fetch counters into the package
-// totals; RunCore calls it at the end of every run. Copy-then-zero keeps
-// the flush idempotent — a duplicate call contributes zero instead of
-// double-counting a run.
-func (c *Core) FlushPredecodeStats() {
-	h, s := c.pdHits, c.pdSlow
-	c.pdHits, c.pdSlow = 0, 0
-	predecode.AddRunStats(h, s)
+// FlushStats folds this core's engine counters into the package totals
+// and into one run's counts (nil discards them); RunCore calls it at the
+// end of every run. Copy-then-zero keeps the flush idempotent — a
+// duplicate call contributes zero instead of double-counting a run.
+func (c *Core) FlushStats(into *platform.EngineCounts) {
+	n := platform.EngineCounts{Fetches: c.pdHits, SlowFetches: c.pdSlow,
+		BlocksBuilt: c.tBuilt, BlocksExecuted: c.tExec, BlocksInvalidated: c.tInval, FallbackExits: c.tFallback}
+	c.pdHits, c.pdSlow, c.tBuilt, c.tExec, c.tInval, c.tFallback = 0, 0, 0, 0, 0, 0
+	predecode.AddRunStats(n.Fetches, n.SlowFetches)
+	translate.AddRunStats(n.BlocksBuilt, n.BlocksExecuted, n.BlocksInvalidated, n.FallbackExits)
+	into.Add(n)
 }
 
 // State snapshots the architectural registers.
@@ -923,8 +927,7 @@ run:
 		}
 		break
 	}
-	c.FlushPredecodeStats()
-	c.FlushTranslateStats()
+	c.FlushStats(spec.Counts)
 	res.Instructions = c.Insts
 	res.Cycles = c.Cycles
 	res.MboxResult, res.MboxDone = c.S.Mbox.Result()

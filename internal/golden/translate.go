@@ -1211,13 +1211,3 @@ func (c *Core) Engine() platform.Engine {
 	}
 	return c.engine
 }
-
-// FlushTranslateStats folds this core's translation counters into the
-// package totals. Copy-then-zero keeps the flush idempotent: a second
-// call (or a concurrent one on a misused core) adds zero rather than
-// double-counting.
-func (c *Core) FlushTranslateStats() {
-	b, e, i, f := c.tBuilt, c.tExec, c.tInval, c.tFallback
-	c.tBuilt, c.tExec, c.tInval, c.tFallback = 0, 0, 0, 0
-	translate.AddRunStats(b, e, i, f)
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/platform"
 )
 
 // refTrips is the oracle: execute the counted loop pass-by-pass.
@@ -59,20 +60,22 @@ func TestCountedLoopTrips(t *testing.T) {
 
 // TestFlushStatsIdempotent pins the copy-then-zero contract: a second
 // flush with no intervening execution must add nothing to the global
-// counters, so concurrent matrix workers (or a flush at run end plus a
-// defensive flush in a caller) never double-count a run.
+// counters or to the run's counts, so concurrent matrix workers (or a
+// flush at run end plus a defensive flush in a caller) never double-count
+// a run.
 func TestFlushStatsIdempotent(t *testing.T) {
 	c := &Core{}
 	c.pdHits, c.pdSlow = 7, 3
 	c.tBuilt, c.tExec, c.tInval, c.tFallback = 4, 100, 2, 1
-	c.FlushPredecodeStats()
-	c.FlushTranslateStats()
+	var got platform.EngineCounts
+	c.FlushStats(&got)
 	if c.pdHits != 0 || c.pdSlow != 0 || c.tBuilt != 0 || c.tExec != 0 || c.tInval != 0 || c.tFallback != 0 {
 		t.Fatal("flush did not zero the core-local counters")
 	}
-	// Second flush: all-zero locals must not touch the globals (verified
-	// indirectly: AddRunStats/translate.AddRunStats early-return on zero,
-	// so this is a no-op by construction — the assertion documents it).
-	c.FlushPredecodeStats()
-	c.FlushTranslateStats()
+	c.FlushStats(&got)
+	want := platform.EngineCounts{Fetches: 7, SlowFetches: 3,
+		BlocksBuilt: 4, BlocksExecuted: 100, BlocksInvalidated: 2, FallbackExits: 1}
+	if got != want {
+		t.Fatalf("run counts after two flushes = %+v, want %+v", got, want)
+	}
 }

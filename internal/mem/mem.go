@@ -12,9 +12,10 @@ package mem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // pageSize is the allocation granularity of region storage.
@@ -163,7 +164,7 @@ func (m *Memory) AddRegion(name string, base, size uint32, perm Perm) *Region {
 	reg := &Region{Name: name, Base: base, Size: size, Perm: perm,
 		pages: make([]*page, (uint64(size)+pageMask)>>pageShift)}
 	m.regions = append(m.regions, reg)
-	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
+	slices.SortFunc(m.regions, func(a, b *Region) int { return cmp.Compare(a.Base, b.Base) })
 	return reg
 }
 

@@ -3,6 +3,7 @@ package platform_test
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bondout"
@@ -208,5 +209,20 @@ func TestNewLoadAllocation(t *testing.T) {
 				t.Errorf("new+Load allocates %d B per cell, budget %d B", per, budget)
 			}
 		})
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, name := range []string{"golden", "rtl", "gate", "emulator", "bondout", "silicon", "Golden", "RTL"} {
+		k, err := platform.ParseKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.EqualFold(k.String(), name) {
+			t.Fatalf("ParseKind(%q).String() = %q", name, k)
+		}
+	}
+	if _, err := platform.ParseKind("abacus"); err == nil {
+		t.Fatal("unknown kind parsed")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/core/telemetry"
 	"repro/internal/obj"
@@ -52,6 +53,17 @@ func (k Kind) String() string {
 		return "silicon"
 	}
 	return "platform?"
+}
+
+// ParseKind parses a platform-kind name, case-insensitively. Every kind
+// on the ladder parses, registered or not: New checks registration.
+func ParseKind(name string) (Kind, error) {
+	for _, k := range []Kind{KindGolden, KindRTL, KindGate, KindEmulator, KindBondout, KindSilicon} {
+		if strings.EqualFold(k.String(), name) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("platform: unknown platform %q (want golden|rtl|gate|emulator|bondout|silicon)", name)
 }
 
 // Engine selects the execution strategy of the behavioural simulators
@@ -169,6 +181,31 @@ type RunSpec struct {
 	// this knob never enters run-cache keys and cached outcomes are
 	// shared freely across engines.
 	Engine Engine
+	// Counts, when non-nil, receives this run's engine counters as it
+	// ends; unlike the process totals (predecode.GlobalStats,
+	// translate.GlobalStats), concurrent runs never count into each other.
+	Counts *EngineCounts
+}
+
+// EngineCounts are one run's engine counters: predecoded and per-step
+// fetches, superblocks translated, dispatched and invalidated, and exits
+// from translated code back to the interpreter.
+type EngineCounts struct {
+	Fetches, SlowFetches                                          uint64
+	BlocksBuilt, BlocksExecuted, BlocksInvalidated, FallbackExits uint64
+}
+
+// Add accumulates o into c; a nil c discards it.
+func (c *EngineCounts) Add(o EngineCounts) {
+	if c == nil {
+		return
+	}
+	c.Fetches += o.Fetches
+	c.SlowFetches += o.SlowFetches
+	c.BlocksBuilt += o.BlocksBuilt
+	c.BlocksExecuted += o.BlocksExecuted
+	c.BlocksInvalidated += o.BlocksInvalidated
+	c.FallbackExits += o.FallbackExits
 }
 
 // DefaultMaxInstructions bounds runaway tests.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/core/telemetry"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obj"
@@ -185,7 +184,7 @@ func (t *Table) decodePage(pi int) *Page {
 		}
 	}
 	if t.pages[pi].CompareAndSwap(nil, p) {
-		countPageDecoded()
+		stats.pagesDecoded.Add(1)
 		return p
 	}
 	// Another core decoded (or a store poisoned) the page first.
@@ -215,7 +214,7 @@ func (t *Table) Invalidate(addr uint32) {
 	for pi := loPage; pi <= hiPage; pi++ {
 		if p := t.pages[pi].Load(); p != nil && p != poisonPage {
 			if t.pages[pi].CompareAndSwap(p, poisonPage) {
-				countPagePoisoned()
+				stats.pagesPoisoned.Add(1)
 			}
 		}
 	}
@@ -316,47 +315,14 @@ var stats struct {
 	hits, slow, pagesDecoded, pagesPoisoned atomic.Uint64
 }
 
-// metrics, when installed, mirrors every counter update into a
-// telemetry registry so aggregation across workers goes through the
-// race-safe metrics layer rather than ad-hoc package globals.
-var metrics atomic.Pointer[telemetry.Registry]
-
-// SetMetrics installs a telemetry registry that the package counters are
-// mirrored into, under predecode.fetches / predecode.slow /
-// predecode.pages_decoded / predecode.pages_poisoned. Pass nil to detach.
-func SetMetrics(r *telemetry.Registry) { metrics.Store(r) }
-
 // AddRunStats folds one run's fetch counters into the global totals.
 // Safe to call from concurrent workers.
 func AddRunStats(hits, slow uint64) {
-	if hits == 0 && slow == 0 {
-		return
-	}
 	if hits != 0 {
 		stats.hits.Add(hits)
 	}
 	if slow != 0 {
 		stats.slow.Add(slow)
-	}
-	if r := metrics.Load(); r != nil {
-		r.Counter("predecode.fetches").Add(hits)
-		r.Counter("predecode.slow").Add(slow)
-	}
-}
-
-// countPageDecoded/countPagePoisoned record the page-granularity events
-// at their source, mirroring into the registry when installed.
-func countPageDecoded() {
-	stats.pagesDecoded.Add(1)
-	if r := metrics.Load(); r != nil {
-		r.Counter("predecode.pages_decoded").Inc()
-	}
-}
-
-func countPagePoisoned() {
-	stats.pagesPoisoned.Add(1)
-	if r := metrics.Load(); r != nil {
-		r.Counter("predecode.pages_poisoned").Inc()
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core/telemetry"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obj"
@@ -164,15 +162,11 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 // TestAddRunStatsConcurrent drives AddRunStats from many goroutines —
-// the regression-matrix worker pattern — with a metrics registry
-// installed, and requires both the package totals and the mirrored
-// telemetry counters to come out exact. Run with -race this also proves
-// the flush path is data-race free.
+// the regression-matrix worker pattern — and requires the package totals
+// to come out exact. Run with -race this also proves the flush path is
+// data-race free.
 func TestAddRunStatsConcurrent(t *testing.T) {
 	ResetStats()
-	r := telemetry.NewRegistry()
-	SetMetrics(r)
-	defer SetMetrics(nil)
 	const workers, rounds = 16, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -192,11 +186,5 @@ func TestAddRunStatsConcurrent(t *testing.T) {
 	}
 	if want := uint64(workers * rounds); s.Slow != want {
 		t.Errorf("slow = %d, want %d", s.Slow, want)
-	}
-	if got := r.Counter("predecode.fetches").Value(); got != s.Hits {
-		t.Errorf("mirrored fetches = %d, want %d", got, s.Hits)
-	}
-	if got := r.Counter("predecode.slow").Value(); got != s.Slow {
-		t.Errorf("mirrored slow = %d, want %d", got, s.Slow)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/hdl"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/platform"
 	"repro/internal/predecode"
 	"repro/internal/soc"
 )
@@ -270,11 +271,13 @@ func (c *CPU) pdEntry(pc uint32) *predecode.Entry {
 }
 
 // FlushPredecodeStats folds this core's fetch counters into the package
-// totals; the platform run loop calls it when a run ends.
-func (c *CPU) FlushPredecodeStats() {
+// totals and into one run's counts (nil discards them); the platform run
+// loop calls it when a run ends.
+func (c *CPU) FlushPredecodeStats(into *platform.EngineCounts) {
 	h, s := c.pdHits, c.pdSlow
 	c.pdHits, c.pdSlow = 0, 0
 	predecode.AddRunStats(h, s)
+	into.Add(platform.EngineCounts{Fetches: h, SlowFetches: s})
 }
 
 func (c *CPU) setState(s uint64) {

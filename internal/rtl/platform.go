@@ -259,7 +259,7 @@ func (s *Sim) Run(spec platform.RunSpec) (*platform.Result, error) {
 			}
 		}
 	}
-	c.FlushPredecodeStats()
+	c.FlushPredecodeStats(spec.Counts)
 	res.Instructions = c.Insts
 	res.Cycles = c.Cycles
 	res.MboxResult, res.MboxDone = c.S.Mbox.Result()

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/core/telemetry"
 	"repro/internal/isa"
 	"repro/internal/predecode"
 )
@@ -276,20 +275,10 @@ func (b *Block) String() string {
 
 // Package-wide counters, mirroring predecode's pattern: per-run counts
 // are accumulated in plain core-local fields and folded in once per run
-// (AddRunStats), keeping atomics off the dispatch hot path. When a
-// telemetry registry is installed (SetMetrics), flushes are mirrored into
-// its race-safe counters so concurrent matrix workers aggregate without
-// touching the package globals' snapshot semantics.
+// (AddRunStats), keeping atomics off the dispatch hot path.
 var stats struct {
 	built, executed, invalidated, fallbacks atomic.Uint64
 }
-
-var metrics atomic.Pointer[telemetry.Registry]
-
-// SetMetrics installs a telemetry registry that AddRunStats mirrors
-// into, under translate.blocks_built / blocks_executed /
-// blocks_invalidated / fallback_exits. Pass nil to detach.
-func SetMetrics(r *telemetry.Registry) { metrics.Store(r) }
 
 // AddRunStats folds one run's counters into the global totals:
 // superblocks built (translated), block executions dispatched, blocks
@@ -303,12 +292,6 @@ func AddRunStats(built, executed, invalidated, fallbacks uint64) {
 	stats.executed.Add(executed)
 	stats.invalidated.Add(invalidated)
 	stats.fallbacks.Add(fallbacks)
-	if r := metrics.Load(); r != nil {
-		r.Counter("translate.blocks_built").Add(built)
-		r.Counter("translate.blocks_executed").Add(executed)
-		r.Counter("translate.blocks_invalidated").Add(invalidated)
-		r.Counter("translate.fallback_exits").Add(fallbacks)
-	}
 }
 
 // Stats is a snapshot of the package counters.
